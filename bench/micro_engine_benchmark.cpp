@@ -228,6 +228,35 @@ void BM_LdfIntervalAllocs(benchmark::State& state) {
 }
 BENCHMARK(BM_LdfIntervalAllocs);
 
+// Same gate for the sharded engine's cut path: a chain of 16 carrier-sense
+// cliques of 8 links coupled by conflict-only cut pairs, on one shard job.
+// Every interval runs the coordinator's barrier rounds, the cut outboxes,
+// the mailbox and the cut resolver — all on storage reused across rounds.
+void BM_ShardedChainIntervalAllocs(benchmark::State& state) {
+  constexpr IntervalIndex kWindow = 32;
+  constexpr std::size_t kCells = 16;
+  constexpr std::size_t kCellSize = 8;
+  net::NetworkConfig cfg = expfw::with_sparse_topology(
+      net::symmetric_network(kCells * kCellSize, Duration::milliseconds(2),
+                             phy::PhyParams::control_80211a(), 0.7,
+                             traffic::BernoulliArrivals{0.8}, 0.9, 1),
+      expfw::chain_cells_topology(kCells, kCellSize));
+  cfg.shards = kCells;
+  cfg.shard_jobs = 1;
+  net::Network net{std::move(cfg), expfw::fcsma_factory()};
+  net.run(16);  // warm-up: mailbox, outbox and cut-record capacities
+  double allocs_per_interval = 0.0;
+  for (auto _ : state) {
+    const std::uint64_t before = alloc_count();
+    net.run(kWindow);
+    allocs_per_interval =
+        static_cast<double>(alloc_count() - before) / static_cast<double>(kWindow);
+  }
+  state.counters["allocs_per_interval"] = allocs_per_interval;
+  state.SetItemsProcessed(state.iterations() * kWindow);
+}
+BENCHMARK(BM_ShardedChainIntervalAllocs);
+
 // Quantile-sketch update throughput: the per-interval observability cost of
 // the sketch-backed series (debt, deliveries, busy periods, latency).
 void BM_SketchUpdate(benchmark::State& state) {

@@ -63,9 +63,10 @@ DcfScheme::DcfScheme(const SchemeContext& ctx, DcfParams params, std::string nam
       data_airtime_{ctx.phy.data_airtime},
       name_{std::move(name)} {
   RTMAC_REQUIRE(params.cw_min >= 1 && params.cw_max >= params.cw_min);
-  if (ctx.medium.topology().complete_sensing() && !params.force_scalar_path) {
-    // Batch path: one shared backoff clock for the whole collision domain,
-    // SoA per-link state. Streams and draw order match the scalar machines.
+  if (ctx.medium.sense_closed() && !params.force_scalar_path) {
+    // Batch path (sense-closed medium): one shared backoff clock for the
+    // whole collision domain, SoA per-link state. Streams and draw order
+    // match the scalar machines.
     clock_ = std::make_unique<SharedBackoffClock>(
         ctx.simulator, ctx.medium, ctx.phy.backoff_slot, ctx.num_links,
         [this](LinkId n) { on_backoff_expired(n); });

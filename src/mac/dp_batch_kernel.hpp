@@ -147,6 +147,16 @@ class DpBatchKernel {
   [[nodiscard]] std::span<const int> backoff_counts() const { return beta_; }
   [[nodiscard]] std::span<const PriorityIndex> candidate_pairs() const { return pairs_; }
 
+  /// Bytes of long-lived per-link state (coin streams, SoA rows, scratch),
+  /// for the mem.mac gauge.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return coin_rng_.capacity() * sizeof(Rng) +
+           (sigma_.capacity() + pairs_.capacity() + anchors_scratch_.capacity()) *
+               sizeof(PriorityIndex) +
+           role_.capacity() + xi_.capacity() + beta_.capacity() * sizeof(int) +
+           perm_scratch_.capacity();
+  }
+
  private:
   SharedSeed shared_seed_;
   const PriorityProvider& provider_;
@@ -212,6 +222,14 @@ class DpBatchBackoff final : public phy::MediumListener {
 
   /// Whole slots elapsed on the shared clock (diagnostics).
   [[nodiscard]] int elapsed_slots() const;
+
+  /// Bytes of long-lived storage (windows, expiry order, freeze log, cached
+  /// per-link counter handles), for the mem.mac gauge.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return (betas_.capacity() + freeze_log_.capacity()) * sizeof(int) +
+           (order_.capacity() + bucket_.capacity()) * sizeof(LinkId) +
+           freeze_ns_.capacity() * sizeof(obs::Counter*);
+  }
 
   // phy::MediumListener:
   void on_medium_busy(TimePoint t) override;

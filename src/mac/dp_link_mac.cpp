@@ -123,14 +123,16 @@ void DpLinkAir::try_transmit() {
 }
 
 void DpLinkAir::on_tx_done(phy::PacketKind kind, phy::TxOutcome outcome) {
-  // DP backoff counts are unique within the interval, so with complete
-  // carrier sensing (everyone freezes and resumes together) no DP
+  // DP backoff counts are unique within the interval, so on an
+  // interference-closed medium (complete carrier sensing, everyone freezes
+  // and resumes together, and nothing outside can interfere) no DP
   // transmission can ever collide; the assert documents that invariant.
-  // Under partial sensing the countdowns desynchronize — hidden terminals
-  // make collisions a genuine protocol outcome, not a bug.
-  RTMAC_ASSERT(outcome != phy::TxOutcome::kCollision || !medium_.topology().complete_sensing(),
-               "DP protocol must be collision-free under complete sensing: link ", id_,
-               " collided");
+  // Under partial sensing the countdowns desynchronize, and a sense-closed
+  // shard cell with a cut conflict edge still meets the hidden terminal on
+  // the other side — there collisions are a genuine protocol outcome.
+  RTMAC_ASSERT(outcome != phy::TxOutcome::kCollision || !medium_.interference_closed(),
+               "DP protocol must be collision-free on an interference-closed medium: link ",
+               id_, " collided");
   if (kind == phy::PacketKind::kData && estimator_ != nullptr &&
       outcome != phy::TxOutcome::kCollision) {
     // Learning mode (Section II-A): the ACK outcome of every clean data
@@ -212,7 +214,7 @@ DpScheme::DpScheme(const SchemeContext& ctx, std::unique_ptr<PriorityProvider> p
               ctx.seed,                 ctx.priority_space(),
               ctx.link_ids},
       name_{std::move(name)},
-      sensing_complete_{ctx.medium.topology().complete_sensing()},
+      sensing_complete_{ctx.medium.sense_closed()},
       batch_{sensing_complete_ && !params.force_scalar_path} {
   if (batch_) {
     airs_.reserve(ctx.num_links);
@@ -232,6 +234,15 @@ DpScheme::DpScheme(const SchemeContext& ctx, std::unique_ptr<PriorityProvider> p
                                                    estimator, ctx.global_id(n)));
     }
   }
+}
+
+std::size_t DpScheme::memory_bytes() const {
+  const std::size_t kernel = kernel_.memory_bytes();
+  if (!batch_) {
+    return kernel + links_.capacity() * sizeof(links_[0]) + links_.size() * sizeof(DpLinkMac);
+  }
+  return kernel + airs_.capacity() * sizeof(DpLinkAir) + armed_scratch_.capacity() +
+         batch_backoff_->memory_bytes();
 }
 
 void DpScheme::on_slot_won(LinkId n) { airs_[n].on_slot_won(); }

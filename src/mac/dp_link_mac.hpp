@@ -12,7 +12,7 @@
 //
 // The per-interval protocol math lives in DpBatchKernel (mac/dp_batch_kernel
 // .hpp) as flat SoA passes shared by two execution paths:
-//   * batch (default under complete sensing): one shared backoff clock
+//   * batch (default on a sense-closed medium): one shared backoff clock
 //     (DpBatchBackoff) drives all links' DpLinkAir transmission machines —
 //     the allocation-free hot path;
 //   * scalar reference (partial sensing, or force_scalar_path): one
@@ -195,6 +195,8 @@ class DpScheme final : public MacScheme {
     return batch_ ? 1 : 6;
   }
 
+  [[nodiscard]] std::size_t memory_bytes() const override;
+
  private:
   void on_slot_won(LinkId n);
 
@@ -206,7 +208,10 @@ class DpScheme final : public MacScheme {
   std::string name_;
   /// Swap decisions compose into a permutation only when every device hears
   /// every transmission; under partial sensing the consistency invariant is
-  /// expected to break (hidden terminals), so the debug check is gated.
+  /// expected to break (hidden terminals), so the debug check is gated on a
+  /// sense-closed medium. On a sense-closed shard cell the check covers the
+  /// cell's slice: a swap with a partner in another cell is one-sided, but
+  /// it moves the local link onto a priority no local link holds.
   bool sensing_complete_ = true;
   bool batch_ = true;
 

@@ -80,9 +80,10 @@ FcsmaScheme::FcsmaScheme(const SchemeContext& ctx, FcsmaParams params, std::stri
       p_{ctx.success_prob},
       data_airtime_{ctx.phy.data_airtime},
       name_{std::move(name)} {
-  if (ctx.medium.topology().complete_sensing() && !params_.force_scalar_path) {
-    // Batch path: one shared backoff clock for the whole collision domain,
-    // SoA per-link state. Streams and draw order match the scalar machines.
+  if (ctx.medium.sense_closed() && !params_.force_scalar_path) {
+    // Batch path (sense-closed medium): one shared backoff clock for the
+    // whole collision domain, SoA per-link state. Streams and draw order
+    // match the scalar machines.
     clock_ = std::make_unique<SharedBackoffClock>(
         ctx.simulator, ctx.medium, ctx.phy.backoff_slot, ctx.num_links,
         [this](LinkId n) { on_backoff_expired(n); });

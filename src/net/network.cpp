@@ -28,7 +28,7 @@ class Network::CutState final : public phy::CutResolver {
   static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 
   void build(const sim::ShardPlan& plan) {
-    edges_ = plan.cut_conflicts;
+    const std::vector<sim::CutEdge>& edges = plan.cut_conflicts;
     slot_of_.assign(plan.num_links(), kNoSlot);
     auto slot = [this, &plan](LinkId g) {
       if (slot_of_[g] == kNoSlot) {
@@ -39,14 +39,14 @@ class Network::CutState final : public phy::CutResolver {
       }
       return slot_of_[g];
     };
-    for (std::size_t i = 0; i < edges_.size(); ++i) {
-      const sim::CutEdge e = edges_[i];
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const sim::CutEdge e = edges[i];
       const std::uint32_t sa = slot(e.a);
       partners_[sa].push_back(PairRef{e.b, i});
       const std::uint32_t sb = slot(e.b);
       partners_[sb].push_back(PairRef{e.a, i});
     }
-    pair_counts_.assign(plan.cells.size(), std::vector<std::uint64_t>(edges_.size(), 0));
+    pair_counts_.assign(plan.cells.size(), std::vector<std::uint64_t>(edges.size(), 0));
   }
 
   /// Barrier phase (serial): remember one exported cut transmission.
@@ -86,27 +86,24 @@ class Network::CutState final : public phy::CutResolver {
     return collided;
   }
 
-  /// Cross-cell pairwise collision events (GLOBAL ids; 0 for non-cut pairs).
-  [[nodiscard]] std::uint64_t pair_count(LinkId a, LinkId b) const {
-    const sim::CutEdge e{std::min(a, b), std::max(a, b)};
-    const auto it = std::lower_bound(
-        edges_.begin(), edges_.end(), e, [](const sim::CutEdge& x, const sim::CutEdge& y) {
-          return x.a != y.a ? x.a < y.a : x.b < y.b;
-        });
-    if (it == edges_.end() || !(*it == e)) return 0;
-    const std::size_t idx = static_cast<std::size_t>(it - edges_.begin());
-    std::uint64_t total = 0;
-    for (const auto& counts : pair_counts_) total += counts[idx];
-    return total;
+  /// Appends every nonzero cross-cell pair count of `link` (partner global
+  /// id ascending — partners_ follows the sorted edge list).
+  void append_row(LinkId link, std::vector<phy::PairCount>& out) const {
+    const std::uint32_t slot = slot_of_[link];
+    if (slot == kNoSlot) return;
+    for (const PairRef& pr : partners_[slot]) {
+      std::uint64_t total = 0;
+      for (const auto& counts : pair_counts_) total += counts[pr.pair_idx];
+      if (total > 0) out.push_back(phy::PairCount{pr.partner, total});
+    }
   }
 
  private:
   struct PairRef {
     LinkId partner;         ///< the other endpoint (global id)
-    std::size_t pair_idx;   ///< index into edges_ / pair_counts_ rows
+    std::size_t pair_idx;   ///< index into the plan's cut_conflicts / pair_counts_ rows
   };
 
-  std::vector<sim::CutEdge> edges_;                   ///< sorted cut conflicts
   std::vector<std::uint32_t> slot_of_;                ///< global link -> slot
   std::vector<std::vector<PairRef>> partners_;        ///< per slot
   std::vector<std::vector<sim::CutTxRecord>> records_;  ///< per slot, in drain order
@@ -180,6 +177,7 @@ struct Network::Shard {
   std::vector<sim::ShardCell*> cell_ptrs;
   std::unique_ptr<ThreadPool> pool;                  ///< null = serial groups
   std::unique_ptr<sim::ShardCoordinator> coordinator;  ///< null = cut-free fast path
+  std::vector<std::future<void>> futures;  ///< cut-free group tasks, reused per interval
 };
 
 void Network::Cell::drain_outbox(std::vector<sim::CutTxRecord>& into)
@@ -349,20 +347,15 @@ void Network::build_shard(std::size_t target_shards, const mac::SchemeFactory& s
     auto cell = std::make_unique<Cell>(*this, static_cast<std::uint32_t>(ci), links,
                                        std::move(q_slice), std::move(p_slice));
 
-    // A cut-free cell (no cut conflicts, no exported speakers, no remote
-    // listeners) interacts with nothing outside itself, so its subgraph may
-    // keep honestly-computed completeness flags: a clique cell then runs
-    // the O(1) complete-sensing fast paths — the per-event win that makes
-    // dense-cell city topologies scale (DESIGN §4j).
-    bool cut_free = remote[ci].empty();
-    for (const LinkId g : links) {
-      if (has_cut_conflict[g] != 0 || is_cut_speaker[g] != 0) {
-        cut_free = false;
-        break;
-      }
-    }
-    const auto flags = cut_free ? phy::InterferenceGraph::SubgraphFlags::kKeepCompleteness
-                                : phy::InterferenceGraph::SubgraphFlags::kClearCompleteness;
+    // A sense-closed cell (no local node hears another cell) keeps its
+    // honestly-computed completeness flags: a clique cell then runs the
+    // single-view sensing and shared-clock batch paths, cut conflict edges
+    // or not — the cut resolver settles their outcomes, not sensing. Only
+    // the burst path needs more (interference-closed, settled by
+    // configure_shard). DESIGN §4i.
+    const auto flags = remote[ci].empty()
+                           ? phy::InterferenceGraph::SubgraphFlags::kKeepCompleteness
+                           : phy::InterferenceGraph::SubgraphFlags::kClearCompleteness;
     phy::InterferenceGraph cell_graph =
         config_.sparse_topology != nullptr
             ? phy::induced_subgraph(*config_.sparse_topology, cell->links, flags)
@@ -427,7 +420,10 @@ void Network::build_shard(std::size_t target_shards, const mac::SchemeFactory& s
   std::size_t jobs =
       config_.shard_jobs != 0 ? config_.shard_jobs : ThreadPool::hardware_threads();
   jobs = std::min(jobs, sh.plan.groups.size());
-  if (jobs > 1) sh.pool = std::make_unique<ThreadPool>(jobs);
+  if (jobs > 1) {
+    sh.pool = std::make_unique<ThreadPool>(jobs);
+    sh.futures.reserve(sh.plan.groups.size());
+  }
 
   if (!sh.plan.cut_conflicts.empty() || !sh.plan.cut_senses.empty()) {
     // Cells coupled by ANY cut relation bound each other's windows. Sense
@@ -449,8 +445,8 @@ void Network::build_shard(std::size_t target_shards, const mac::SchemeFactory& s
       v.erase(std::unique(v.begin(), v.end()), v.end());
     }
     sh.coordinator = std::make_unique<sim::ShardCoordinator>(
-        sh.cell_ptrs, std::move(cut_neighbors), sh.plan.groups, sh.pool.get(),
-        config_.adaptive_lookahead);
+        sh.cell_ptrs, std::move(cut_neighbors), sim::CutListeners::from_plan(sh.plan),
+        sh.plan.groups, sh.pool.get(), config_.adaptive_lookahead);
   }
 }
 
@@ -600,13 +596,12 @@ void Network::run_sharded_interval(IntervalIndex k, TimePoint start, TimePoint e
       }
     };
     if (sh.pool != nullptr && sh.plan.groups.size() > 1) {
-      std::vector<std::future<void>> futures;
-      futures.reserve(sh.plan.groups.size());
+      sh.futures.clear();
       for (const auto& group : sh.plan.groups) {
-        futures.push_back(sh.pool->submit([&run_group, &group] { run_group(group); }));
+        sh.futures.push_back(sh.pool->submit([&run_group, &group] { run_group(group); }));
       }
-      sh.pool->wait_all(futures);
-      for (auto& f : futures) f.get();  // surface worker exceptions
+      sh.pool->wait_all(sh.futures);
+      for (auto& f : sh.futures) f.get();  // surface worker exceptions
     } else {
       for (const auto& group : sh.plan.groups) run_group(group);
     }
@@ -746,14 +741,32 @@ Duration Network::node_sense_busy_time(LinkId node) const {
   return sh.cells[sh.plan.cell_of[node]]->medium->sense_busy_time(sh.local_of[node]);
 }
 
-std::uint64_t Network::collision_pair_count(LinkId a, LinkId b) const {
-  if (shard_ == nullptr) return medium_->collision_pair_count(a, b);
-  const Shard& sh = *shard_;
-  if (sh.plan.cell_of[a] == sh.plan.cell_of[b]) {
-    return sh.cells[sh.plan.cell_of[a]]->medium->collision_pair_count(sh.local_of[a],
-                                                                      sh.local_of[b]);
+void Network::collision_row(LinkId link, std::vector<phy::PairCount>& out) const {
+  out.clear();
+  if (shard_ == nullptr) {
+    medium_->collision_row(link, out);
+    return;
   }
-  return sh.cut->pair_count(a, b);
+  const Shard& sh = *shard_;
+  const Cell& cell = *sh.cells[sh.plan.cell_of[link]];
+  cell.medium->collision_row(sh.local_of[link], out);
+  // Cell links are ascending, so the local row maps to an ascending global
+  // row; the cut partners are merged into it.
+  for (phy::PairCount& pc : out) pc.other = cell.links[pc.other];
+  const auto local_end = static_cast<std::ptrdiff_t>(out.size());
+  sh.cut->append_row(link, out);
+  std::inplace_merge(out.begin(), out.begin() + local_end, out.end(),
+                     [](const phy::PairCount& x, const phy::PairCount& y) {
+                       return x.other < y.other;
+                     });
+}
+
+const phy::Medium& Network::cell_medium(std::size_t cell) const {
+  if (shard_ == nullptr) {
+    RTMAC_REQUIRE(cell == 0);
+    return *medium_;
+  }
+  return *shard_->cells[cell]->medium;
 }
 
 void Network::merge_cell_metrics_into(obs::MetricsRegistry& target) const {

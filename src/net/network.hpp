@@ -118,9 +118,17 @@ class Network {
   /// One node's carrier-sense busy time (GLOBAL id). Exact on both paths:
   /// remote cut-edge activity is injected into the listening views.
   [[nodiscard]] Duration node_sense_busy_time(LinkId node) const;
-  /// Pairwise collision ledger (GLOBAL ids). Cross-cell pairs come from the
-  /// cut resolver's ledger, intra-cell pairs from the owning Medium.
-  [[nodiscard]] std::uint64_t collision_pair_count(LinkId a, LinkId b) const;
+  /// One link's row of the pairwise collision ledger: `out` is replaced by
+  /// every (other, count) with a nonzero count of collision events between
+  /// `link` and `other`, other ascending (GLOBAL ids, the self pair
+  /// included). Intra-cell pairs come from the owning Medium, cross-cell
+  /// pairs from the cut resolver's ledger. Walks only those rows, so a
+  /// whole-network sweep is O(ledger size), not O(N²).
+  void collision_row(LinkId link, std::vector<phy::PairCount>& out) const;
+
+  /// One cell's Medium (legacy: the single Medium). Read-only: engine-shape
+  /// diagnostics such as sense_closed() / interference_closed().
+  [[nodiscard]] const phy::Medium& cell_medium(std::size_t cell) const;
 
   /// Folds every cell's private metrics registry into `target` (counters
   /// add, gauges last-write-win, histograms/sketches merge). No-op on the

@@ -1,5 +1,7 @@
 #include "obs/collect.hpp"
 
+#include <vector>
+
 #include "mac/dp_link_mac.hpp"
 #include "net/network.hpp"
 #include "stats/deficiency.hpp"
@@ -35,6 +37,7 @@ void collect_network_metrics(MetricsRegistry& registry, const net::Network& netw
       .set(sim_seconds > 0.0 ? counters.collided_time.seconds_f() / sim_seconds : 0.0);
 
   const std::size_t n_links = network.config().num_links();
+  std::vector<phy::PairCount> row;  // one ledger row, reused across links
   for (LinkId n = 0; n < n_links; ++n) {
     const auto& lc = network.link_counters(n);
     const std::uint64_t tx = lc.data_tx + lc.empty_tx;
@@ -54,12 +57,13 @@ void collect_network_metrics(MetricsRegistry& registry, const net::Network& netw
                                : 0.0);
     // Who this link actually collided with: the owning Medium's pair ledger
     // for intra-cell pairs, the cut resolver's ledger for cross-cell pairs.
+    // Only the ledger's nonzero cells are visited.
+    network.collision_row(n, row);
     std::uint64_t partners = 0;
-    for (LinkId other = 0; other < n_links; ++other) {
-      const std::uint64_t pairs = network.collision_pair_count(n, other);
-      if (other != n && pairs > 0) ++partners;
+    for (const auto& [other, pairs] : row) {
+      if (other != n) ++partners;
       // Emit each unordered pair once (self-pairs cover same-link overlap).
-      if (other >= n && pairs > 0) {
+      if (other >= n) {
         registry.counter(link_metric(link_metric("phy.collision_pair", n), other)).inc(pairs);
       }
     }

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -232,14 +233,17 @@ void MetricsRegistry::write_jsonl(std::ostream& out, std::string_view context) c
       }
       case Type::kSketch: {
         const QuantileSketch& s = *entry.sketch;
+        static constexpr std::array<double, 3> kQs{0.50, 0.90, 0.99};
+        std::array<double, 3> p{};
+        s.quantiles(kQs, p);  // one gather + sort for all three
         line.field("type", "sketch")
             .field("count", s.count())
             .field("sum", s.sum())
             .field("min", s.min())
             .field("max", s.max())
-            .field("p50", s.quantile(0.50))
-            .field("p90", s.quantile(0.90))
-            .field("p99", s.quantile(0.99))
+            .field("p50", p[0])
+            .field("p90", p[1])
+            .field("p99", p[2])
             .field("k", static_cast<std::uint64_t>(s.options().k))
             .field("retained", static_cast<std::uint64_t>(s.retained()))
             .field("exact", static_cast<std::int64_t>(s.exact() ? 1 : 0));

@@ -143,26 +143,50 @@ void QuantileSketch::gather() const {
 }
 
 double QuantileSketch::quantile(double q) const {
-  if (count_ == 0 || std::isnan(q)) return std::numeric_limits<double>::quiet_NaN();
-  q = std::clamp(q, 0.0, 1.0);
-  if (q == 0.0) return min_;
-  if (q == 1.0) return max_;
+  double out = 0.0;
+  quantiles(std::span<const double>{&q, 1}, std::span<double>{&out, 1});
+  return out;
+}
 
-  gather();
-  // Inverted-CDF rank over the weighted multiset (1-based, ceil — the same
-  // convention Histogram::quantile uses); exact when every weight is 1.
+void QuantileSketch::quantiles(std::span<const double> qs, std::span<double> out) const {
+  RTMAC_REQUIRE(qs.size() == out.size(), "one output slot per quantile");
+  bool gathered = false;
   std::uint64_t total_weight = 0;
-  for (const Weighted& w : scratch_) total_weight += w.weight;
-  RTMAC_ASSERT(total_weight == count_, "retained weight drifted from the input count");
-  auto rank = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total_weight)));
-  rank = std::clamp<std::uint64_t>(rank, 1, total_weight);
-  std::uint64_t cumulative = 0;
-  for (const Weighted& w : scratch_) {
-    cumulative += w.weight;
-    if (cumulative >= rank) return w.value;
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    double q = qs[i];
+    if (count_ == 0 || std::isnan(q)) {
+      out[i] = std::numeric_limits<double>::quiet_NaN();
+      continue;
+    }
+    q = std::clamp(q, 0.0, 1.0);
+    if (q == 0.0) {
+      out[i] = min_;
+      continue;
+    }
+    if (q == 1.0) {
+      out[i] = max_;
+      continue;
+    }
+    if (!gathered) {
+      gather();
+      for (const Weighted& w : scratch_) total_weight += w.weight;
+      RTMAC_ASSERT(total_weight == count_, "retained weight drifted from the input count");
+      gathered = true;
+    }
+    // Inverted-CDF rank over the weighted multiset (1-based, ceil — the same
+    // convention Histogram::quantile uses); exact when every weight is 1.
+    auto rank = static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total_weight)));
+    rank = std::clamp<std::uint64_t>(rank, 1, total_weight);
+    out[i] = max_;  // unreachable fallback: cumulative == total_weight >= rank by the end
+    std::uint64_t cumulative = 0;
+    for (const Weighted& w : scratch_) {
+      cumulative += w.weight;
+      if (cumulative >= rank) {
+        out[i] = w.value;
+        break;
+      }
+    }
   }
-  return max_;  // unreachable: cumulative == total_weight >= rank by the end
 }
 
 }  // namespace rtmac::obs

@@ -31,6 +31,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -89,6 +90,11 @@ class QuantileSketch {
   /// the retained sample values (no interpolation), which keeps exports
   /// deterministic and merge-order-invariant.
   [[nodiscard]] double quantile(double q) const;
+
+  /// quantile() for every `qs[i]` into `out[i]` (same size), gathering and
+  /// sorting the retained samples once for the whole batch — the export
+  /// path reads several quantiles per sketch.
+  void quantiles(std::span<const double> qs, std::span<double> out) const;
 
   /// True while every sample is still individually retained (level 0 has
   /// never compacted and only exact inputs were merged): quantiles are

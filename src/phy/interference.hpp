@@ -92,16 +92,19 @@ class InterferenceGraph {
   /// Both relations complete: byte-identical to the pre-topology Medium.
   [[nodiscard]] bool is_complete() const { return complete_conflicts_ && complete_sensing_; }
 
-  /// Completeness-flag policy for induced subgraphs. A shard cell with ANY
-  /// cut relation has external interference, so the complete-graph fast
-  /// paths (shared loss stream, batch DP, burst mode, single-view sensing)
-  /// must stay off for behavior to match the unsharded run — that is
-  /// kClearCompleteness, the safe default. A CUT-FREE cell whose subgraph
-  /// is a clique genuinely satisfies the complete-graph contract (its links
-  /// interact with nothing outside, and the shard machinery re-keys the
-  /// loss streams by global id either way), so kKeepCompleteness lets the
-  /// honestly-computed flags stand and unlocks the O(1) single-view fast
-  /// paths for dense-cell city topologies.
+  /// Completeness-flag policy for induced subgraphs. A shard cell's flags
+  /// describe its own links only, so the caller decides whether they may
+  /// stand. The sharded Network keeps them (kKeepCompleteness) exactly for
+  /// SENSE-CLOSED cells: no local node senses a link in another cell, so a
+  /// clique cell's every per-node view really is the cell's one global view,
+  /// and the single-view sensing and shared-clock batch MAC paths are exact
+  /// even when the cell has cut conflict edges (their outcomes are settled
+  /// by the cut resolver, not by sensing). A cell with a remote speaker
+  /// needs per-node views for the injected activity and clears the flags
+  /// (kClearCompleteness, the safe default). Whether a sense-closed cell is
+  /// also INTERFERENCE-CLOSED (no cut conflict, no exported link — the
+  /// precondition of the burst path) is settled by the shard Medium, not by
+  /// these flags (phy::Medium::interference_closed()).
   enum class SubgraphFlags : std::uint8_t { kClearCompleteness, kKeepCompleteness };
 
   /// Dense subgraph induced by `links` (ascending global ids); completeness

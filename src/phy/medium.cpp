@@ -37,6 +37,7 @@ Medium::Medium(sim::Simulator& simulator, std::unique_ptr<ChannelModel> channel,
       loss_rng_{seed, /*stream_id=*/0x4d454449554dULL /* "MEDIUM" */} {
   RTMAC_REQUIRE(channel_ != nullptr && channel_->num_links() > 0);
   complete_sensing_ = graph_.complete_sensing();
+  interference_closed_ = complete_sensing_;
   num_links_ = channel_->num_links();
   arena_ = arena;
   init_link_state();
@@ -53,6 +54,7 @@ Medium::Medium(sim::Simulator& simulator, std::unique_ptr<ChannelModel> channel,
   const std::size_t n = channel_->num_links();
   RTMAC_ASSERT(graph_.num_links() == n, "interference graph size must match the channel");
   complete_sensing_ = graph_.complete_sensing();
+  interference_closed_ = complete_sensing_;
   num_links_ = n;
   arena_ = arena;
   init_link_state();
@@ -114,25 +116,33 @@ std::size_t Medium::memory_bytes() const {
          shard_.exported.capacity();
 }
 
-void Medium::configure_shard(ShardMediumConfig config) {
-  // A cell keeping its completeness flags must be cut-free: complete
-  // sensing collapses everything onto the single global view, which is only
-  // equivalent to the unsharded run when no external interference exists.
-  if (complete_sensing_) {
-    bool cut_free = true;
-    for (std::size_t i = 0; i < config.conflict_cut.size(); ++i) {
-      if (config.conflict_cut[i] != 0 || config.exported[i] != 0) {
-        cut_free = false;
-        break;
-      }
+void Medium::collision_row(LinkId a, std::vector<PairCount>& out) const {
+  if (!pair_dense_.empty()) {
+    const std::uint64_t* row = pair_dense_.data() + static_cast<std::size_t>(a) * num_links_;
+    for (LinkId b = 0; b < num_links_; ++b) {
+      if (row[b] > 0) out.push_back(PairCount{b, row[b]});
     }
-    RTMAC_REQUIRE(cut_free, "complete sensing in shard mode requires a cut-free cell");
+    return;
   }
+  for (std::uint32_t i = pair_row_[a]; i < pair_row_[a + 1]; ++i) {
+    if (pair_count_[i] > 0) out.push_back(PairCount{pair_col_[i], pair_count_[i]});
+  }
+}
+
+void Medium::configure_shard(ShardMediumConfig config) {
   RTMAC_REQUIRE(config.global_ids.size() == num_links_, "global id map size mismatch");
   RTMAC_REQUIRE(config.conflict_cut.size() == num_links_ && config.exported.size() == num_links_,
                 "cut flag size mismatch");
   shard_mode_ = true;
   shard_ = std::move(config);
+  // A transmission reaches outside the cell through a cut conflict (its
+  // outcome waits for the resolver) or an export (remote views hear it).
+  interference_closed_ =
+      complete_sensing_ &&
+      std::all_of(shard_.exported.begin(), shard_.exported.end(),
+                  [](std::uint8_t e) { return e == 0; }) &&
+      std::all_of(shard_.conflict_cut.begin(), shard_.conflict_cut.end(),
+                  [](std::uint8_t c) { return c == 0; });
   // Re-key the loss streams by global id: the draws a link sees must not
   // depend on which cell it landed in.
   loss_rngs_.clear();
@@ -144,8 +154,9 @@ void Medium::configure_shard(ShardMediumConfig config) {
 
 void Medium::register_remote_sense(LinkId speaker, std::vector<LinkId> nodes) {
   RTMAC_REQUIRE(shard_mode_, "register_remote_sense outside shard mode");
-  // remote_mark drives per-node views, which the complete-sensing fast path
-  // never reads — a cell that keeps its flags must have no remote speakers.
+  // remote_mark drives per-node views, which the single-view fast path never
+  // reads — a cell with a remote speaker is not sense-closed and must not
+  // keep complete sensing.
   RTMAC_REQUIRE(!complete_sensing_, "remote sense injection needs per-node views");
   remote_sense_[speaker] = std::move(nodes);
 }

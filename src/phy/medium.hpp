@@ -110,6 +110,13 @@ struct ShardMediumConfig {
   CutResolver* resolver = nullptr;         ///< borrowed; may be null when no cuts
 };
 
+/// One nonzero cell of a pairwise collision ledger row: `count` collision
+/// events between the row's link and `other`.
+struct PairCount {
+  LinkId other = 0;
+  std::uint64_t count = 0;
+};
+
 /// Aggregate channel accounting, exposed for capacity/overhead analysis.
 struct MediumCounters {
   std::uint64_t data_tx = 0;         ///< data transmission attempts
@@ -172,20 +179,22 @@ class Medium {
   void start_transmission(LinkId link, Duration airtime, PacketKind kind, TxDone done);
 
   // ---- burst fast path ------------------------------------------------------
-  // A link that wins the channel under complete sensing transmits its whole
-  // back-to-back chain with exclusive use of the medium: every other device
-  // senses busy and freezes, so no event can interleave until the chain
-  // ends. The burst API exploits that: the caller simulates the chain
-  // synchronously (one burst_tx per packet, outcomes returned immediately
-  // in the same loss-stream order the per-event path would draw them) and
-  // the medium schedules a single idle-transition event at the end, instead
-  // of one completion event per packet. Semantically identical to chained
+  // A link that wins the channel of an interference-closed medium transmits
+  // its whole back-to-back chain with exclusive use of the medium: every
+  // other device senses busy and freezes, and nothing outside can touch the
+  // chain, so no event can interleave until it ends. The burst API exploits
+  // that: the caller simulates the chain synchronously (one burst_tx per
+  // packet, outcomes returned immediately in the same loss-stream order the
+  // per-event path would draw them) and the medium schedules a single
+  // idle-transition event at the end, instead of one completion event per
+  // packet. Semantically identical to chained
   // start_transmission calls — the equivalence tests assert it bit-for-bit.
 
-  /// True when the burst path may be used right now: complete sensing, the
-  /// medium idle, and not inside a listener callback.
+  /// True when the burst path may be used right now: an interference-closed
+  /// medium (see interference_closed()), idle, and not inside a listener
+  /// callback.
   [[nodiscard]] bool burst_available() const {
-    return complete_sensing_ && active_count_ == 0 && !dispatching_listeners_;
+    return interference_closed_ && active_count_ == 0 && !dispatching_listeners_;
   }
 
   /// Opens an exclusive burst at now(). Precondition: burst_available().
@@ -224,6 +233,21 @@ class Medium {
 
   [[nodiscard]] const InterferenceGraph& topology() const { return graph_; }
 
+  /// Sense-closed: every node senses every local link and nothing else —
+  /// the topology has complete sensing and, in shard mode, no remote
+  /// speaker drives any local view. Every per-node view then coincides with
+  /// the global one, so the single-view sensing path and the shared-clock
+  /// batch MAC paths are exact.
+  [[nodiscard]] bool sense_closed() const { return complete_sensing_; }
+
+  /// Interference-closed: sense-closed, and no local transmission interacts
+  /// with anything outside this medium — in shard mode, no local link has a
+  /// cut conflict edge or is heard by another cell. Only then can a
+  /// transmission's outcome be settled when it starts, which is what the
+  /// burst path needs (it bypasses the cut outbox, the cut resolver and the
+  /// run limit). The DP protocol is collision-free exactly here.
+  [[nodiscard]] bool interference_closed() const { return interference_closed_; }
+
   [[nodiscard]] const MediumCounters& counters() const { return counters_; }
   [[nodiscard]] const LinkCounters& link_counters(LinkId link) const {
     return link_counters_[link];
@@ -251,6 +275,11 @@ class Medium {
     return cell != nullptr ? *cell : 0;
   }
 
+  /// Appends every nonzero (b, collision_pair_count(a, b)) to `out`, b
+  /// ascending: one ledger row, read without probing the pairs that can
+  /// never collide.
+  void collision_row(LinkId a, std::vector<PairCount>& out) const;
+
   /// Bytes of per-link cold state this Medium holds (counters, sense views,
   /// collision ledger, loss streams, listener table) — feeds the mem.phy
   /// gauge. Arena-backed spans are counted here, not double-counted by the
@@ -271,17 +300,16 @@ class Medium {
   // run at construction time, before any parallel phase exists, and are
   // deliberately unannotated.
 
-  /// Enters shard mode. Precondition: the topology's completeness flags are
-  /// cleared (the safe default for cell subgraphs — see
-  /// InterferenceGraph::SubgraphFlags), EXCEPT for a cut-free cell (no cut
-  /// conflicts, no exports, and never a register_remote_sense target): such
-  /// a cell interacts with nothing outside itself, so a clique cell may keep
-  /// complete sensing and its O(1) fast paths. Loss streams are re-keyed by
-  /// global id either way, so results stay partition-independent.
+  /// Enters shard mode. The topology may keep complete sensing only if the
+  /// cell is sense-closed (register_remote_sense refuses such a medium);
+  /// whether it is also interference-closed follows from the cut flags and
+  /// is settled here, once. Loss streams are re-keyed by global id either
+  /// way, so results stay partition-independent.
   void configure_shard(ShardMediumConfig config);
 
   /// Declares that local `nodes` sense the remote global link `speaker`;
   /// inject_remote_activity(speaker, ...) will drive their views.
+  /// Precondition: the medium is not sense-closed.
   void register_remote_sense(LinkId speaker, std::vector<LinkId> nodes);
 
   /// Arms the window's resolution bound: completions of cut-conflict
@@ -421,10 +449,14 @@ class Medium {
   sim::Simulator& sim_;
   std::unique_ptr<ChannelModel> channel_;
   InterferenceGraph graph_;
-  /// Cached graph_.complete_sensing(): selects the single-view fast path
-  /// (per-node views are never touched; all listeners share the global
-  /// view's transitions, which is exactly what a complete graph implies).
+  /// Cached graph_.complete_sensing(), i.e. sense_closed(): selects the
+  /// single-view fast path (per-node views are never touched; all listeners
+  /// share the global view's transitions, which is exactly what complete
+  /// sensing with no remote speaker implies).
   bool complete_sensing_ = false;
+  /// interference_closed(): complete_sensing_ on the legacy path; in shard
+  /// mode additionally no cut-conflict or exported link (configure_shard).
+  bool interference_closed_ = false;
   std::size_t num_links_ = 0;  ///< cached channel_->num_links()
   std::uint64_t seed_ = 0;     ///< root seed (loss streams re-key in shard mode)
   /// Non-null iff the channel is a StaticChannel: borrowed view of its p_n

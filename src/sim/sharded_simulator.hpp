@@ -7,8 +7,10 @@
 //
 //   1. Barrier (serial, deterministic cell order): every cell drains its
 //      outbox of finished/started cut-link transmissions into the shared
-//      mailbox; fresh records are handed to the other cells (remote-sense
-//      injection) and to the cross-shard collision ledger.
+//      mailbox (and the cross-shard collision ledger); each fresh record is
+//      handed to the cells that listen to its link (remote-sense
+//      injection), in ascending cell order. Conflict-only records reach no
+//      cell: the ledger already holds them.
 //   2. Each cell i gets a resolution bound R_i = min(horizon, min activity
 //      bound of its cut-neighbor cells). A cut-link completion at time t
 //      can be resolved exactly once no conflicting neighbor can still start
@@ -44,10 +46,12 @@
 #pragma once
 
 #include <cstdint>
+#include <future>
 #include <vector>
 
 #include "core/types.hpp"
 #include "sim/shard_barrier.hpp"
+#include "sim/shard_partitioner.hpp"
 #include "util/thread_pool.hpp"
 #include "util/time.hpp"
 
@@ -80,8 +84,8 @@ class ShardCell {
   /// drain (in start-time order) and forgets them locally.
   virtual void drain_outbox(std::vector<CutTxRecord>& into)
       RTMAC_REQUIRES(shard_barrier) = 0;
-  /// Barrier phase: offers a fresh remote record; the cell injects it into
-  /// its sense views if any of its links listens to `record.link`.
+  /// Barrier phase: hands over a fresh remote record of a link that some of
+  /// this cell's nodes hear; the cell injects it into their sense views.
   virtual void deliver_remote(const CutTxRecord& record)
       RTMAC_REQUIRES(shard_barrier) = 0;
   /// Barrier phase: earliest instant at which this cell could still start
@@ -101,19 +105,32 @@ class ShardCell {
   virtual void run_window(TimePoint horizon) RTMAC_EXCLUDES(shard_barrier) = 0;
 };
 
+/// The cells that listen to each cut speaker, as CSR over global link ids:
+/// speaker s is heard by cells[offsets[s] .. offsets[s + 1]), ascending and
+/// unique. Links no other cell hears (conflict-only cut links, uncut links)
+/// have empty rows.
+struct CutListeners {
+  std::vector<std::uint32_t> offsets;  ///< size num_links + 1
+  std::vector<std::uint32_t> cells;
+
+  /// Built from plan.cut_senses.
+  [[nodiscard]] static CutListeners from_plan(const ShardPlan& plan);
+};
+
 /// Advances a set of shard cells to successive horizons.
 class ShardCoordinator {
  public:
   /// `cut_neighbors[i]` = cells sharing at least one cut conflict edge with
-  /// cell i (these bound cell i's resolution window). `groups[g]` = cell
+  /// cell i (these bound cell i's resolution window). `listeners` routes
+  /// each fresh record to the cells that hear its link. `groups[g]` = cell
   /// indices run by worker g in the parallel phase. `pool` may be null for
   /// serial execution; it is borrowed, not owned. `adaptive_lookahead`
   /// selects next_activity_bound() (default) over bare clocks when
   /// computing the per-round resolution bounds.
   ShardCoordinator(std::vector<ShardCell*> cells,
                    std::vector<std::vector<std::uint32_t>> cut_neighbors,
-                   std::vector<std::vector<std::uint32_t>> groups, ThreadPool* pool,
-                   bool adaptive_lookahead = true);
+                   CutListeners listeners, std::vector<std::vector<std::uint32_t>> groups,
+                   ThreadPool* pool, bool adaptive_lookahead = true);
 
   /// Runs rounds until every cell's clock reaches `horizon`.
   void advance_to(TimePoint horizon);
@@ -125,10 +142,14 @@ class ShardCoordinator {
  private:
   std::vector<ShardCell*> cells_;
   std::vector<std::vector<std::uint32_t>> cut_neighbors_;
+  CutListeners listeners_;
   std::vector<std::vector<std::uint32_t>> groups_;
   ThreadPool* pool_;
   bool adaptive_;
   std::uint64_t rounds_ = 0;
+  /// Parallel-phase task handles, reused every round (coordinating thread
+  /// only).
+  std::vector<std::future<void>> futures_;
   // Barrier scratch: touched only inside the coordinator's PhantomLock'd
   // serial sections, never by parallel-phase tasks.
   std::vector<CutTxRecord> fresh_ RTMAC_GUARDED_BY(shard_barrier);

@@ -14,6 +14,9 @@
 #include <vector>
 
 #include "expfw/scenarios.hpp"
+#include "mac/dcf_mac.hpp"
+#include "mac/dp_link_mac.hpp"
+#include "mac/fcsma_mac.hpp"
 #include "net/network.hpp"
 #include "net/network_config.hpp"
 #include "obs/collect.hpp"
@@ -81,11 +84,14 @@ RunRecord run_network(NetworkConfig config, const mac::SchemeFactory& factory,
   network.run(intervals);
 
   const std::size_t n = network.config().num_links();
+  rec.pair_counts.assign(n * n, 0);
+  std::vector<phy::PairCount> row;
   for (LinkId l = 0; l < n; ++l) {
     rec.debts.push_back(network.debts().debt(l));
     rec.link_data_tx.push_back(network.link_counters(l).data_tx);
     rec.link_collisions.push_back(network.link_counters(l).collisions);
-    for (LinkId o = 0; o < n; ++o) rec.pair_counts.push_back(network.collision_pair_count(l, o));
+    network.collision_row(l, row);
+    for (const phy::PairCount& pc : row) rec.pair_counts[l * n + pc.other] = pc.count;
   }
   const phy::MediumCounters counters = network.medium_counters();
   rec.collisions = counters.collisions;
@@ -129,6 +135,17 @@ RunRecord run_network(NetworkConfig config, const mac::SchemeFactory& factory,
   return rec;
 }
 
+struct SchemeCase {
+  const char* name;
+  mac::SchemeFactory factory;
+};
+
+std::vector<SchemeCase> all_schemes() {
+  return {{"DCF", expfw::dcf_factory()},
+          {"FCSMA", expfw::fcsma_factory()},
+          {"DB-DP", expfw::dbdp_factory()}};
+}
+
 NetworkConfig cells_config(std::uint64_t seed, std::size_t shards,
                            std::size_t num_links = 12, std::size_t cell_size = 4) {
   auto cfg = net::symmetric_network(num_links, Duration::milliseconds(2),
@@ -164,14 +181,7 @@ TEST(ShardedNetworkTest, DisconnectedCellsShardIntoOneEnginePerCell) {
 // ---- byte-identical results across engines and shard counts -----------------
 
 TEST(ShardedNetworkTest, ShardedRunMatchesLegacyOnDisconnectedCells) {
-  struct Case {
-    const char* name;
-    mac::SchemeFactory factory;
-  };
-  const Case cases[] = {{"DCF", expfw::dcf_factory()},
-                        {"FCSMA", expfw::fcsma_factory()},
-                        {"DB-DP", expfw::dbdp_factory()}};
-  for (const Case& c : cases) {
+  for (const SchemeCase& c : all_schemes()) {
     const auto legacy = run_network(cells_config(21, /*shards=*/0), c.factory);
     const auto sharded = run_network(cells_config(21, /*shards=*/3), c.factory);
     expect_same_run(legacy, sharded, c.name);
@@ -272,6 +282,155 @@ TEST(ShardedNetworkTest, CrossShardHiddenTerminalLedgerMatchesTheLegacyEngine) {
   const std::size_t n = 4;
   EXPECT_GT(legacy.pair_counts[1 * n + 2], 0U) << "hidden pair never collided";
   EXPECT_EQ(legacy.pair_counts[1 * n + 2], sharded.pair_counts[2 * n + 1]);
+}
+
+// ---- conflict-cut cells: sense-closed batch paths ---------------------------
+
+/// True when the scheme serving one cell runs its shared-clock batch path.
+bool cell_batch_path(const Network& network, std::size_t cell) {
+  const mac::MacScheme& scheme = network.cell_scheme(cell);
+  if (const auto* dcf = dynamic_cast<const mac::DcfScheme*>(&scheme)) return dcf->batch_path();
+  if (const auto* fcsma = dynamic_cast<const mac::FcsmaScheme*>(&scheme)) {
+    return fcsma->batch_path();
+  }
+  if (const auto* dp = dynamic_cast<const mac::DpScheme*>(&scheme)) return dp->batch_path();
+  ADD_FAILURE() << "unexpected scheme " << scheme.name();
+  return false;
+}
+
+constexpr std::size_t kChainCells = 4;
+constexpr std::size_t kChainCellSize = 8;
+
+/// A chain of 4 carrier-sense cliques of 8 links, neighbors coupled by one
+/// conflict-only (hidden-terminal) pair. `shards == 0` runs the dense form
+/// on the legacy engine; otherwise the sparse form goes to the sharded one.
+NetworkConfig chain_config(std::uint64_t seed, std::size_t shards, std::size_t jobs = 1) {
+  auto cfg = net::symmetric_network(kChainCells * kChainCellSize, Duration::milliseconds(2),
+                                    phy::PhyParams::control_80211a(), 0.7,
+                                    traffic::BernoulliArrivals{0.9}, 0.9, seed);
+  phy::SparseTopology topo = expfw::chain_cells_topology(kChainCells, kChainCellSize);
+  if (shards == 0) {
+    cfg.topology = phy::InterferenceGraph::from_lists(topo.num_links, topo.conflict, topo.sense);
+  } else {
+    cfg = expfw::with_sparse_topology(std::move(cfg), std::move(topo));
+  }
+  cfg.shards = shards;
+  cfg.shard_jobs = jobs;
+  return cfg;
+}
+
+/// Two 2-link cliques {0,1} and {2,3} coupled by a conflict edge (1,2)
+/// that link 2 also hears: a sense cut with listener 2 and speaker 1.
+NetworkConfig sensed_cut_config(std::uint64_t seed, std::size_t shards, std::size_t jobs = 1) {
+  auto cfg = net::symmetric_network(4, Duration::milliseconds(2),
+                                    phy::PhyParams::control_80211a(), 0.7,
+                                    traffic::BernoulliArrivals{0.9}, 0.9, seed);
+  const std::vector<std::vector<LinkId>> conflict = {{1}, {0, 2}, {1, 3}, {2}};
+  const std::vector<std::vector<LinkId>> sense = {{1}, {0}, {1, 3}, {2}};
+  cfg.topology = phy::InterferenceGraph::from_lists(4, conflict, sense);
+  cfg.shards = shards;
+  cfg.shard_jobs = jobs;
+  return cfg;
+}
+
+TEST(ShardedNetworkTest, ConflictCutRunsMatchLegacyAcrossShardsAndJobs) {
+  // Every scheme, on a hidden-terminal cut of two cliques (several seeds)
+  // and on a chain of four: legacy engine vs shards 2/4 x shard_jobs 1/2.
+  // The sharded clique cells run the batch paths the legacy engine's
+  // partial global view cannot, so this is the batch-vs-scalar equivalence
+  // under cut conflicts.
+  for (const SchemeCase& c : all_schemes()) {
+    for (const std::uint64_t seed : {42ULL, 7ULL, 1001ULL}) {
+      const auto legacy = run_network(hidden_cut_config(seed, /*shards=*/0), c.factory);
+      EXPECT_GT(legacy.pair_counts[1 * 4 + 2], 0U) << c.name << ": hidden pair never collided";
+      for (const std::size_t shards : {2UL, 4UL}) {
+        for (const std::size_t jobs : {1UL, 2UL}) {
+          auto cfg = hidden_cut_config(seed, shards);
+          cfg.shard_jobs = jobs;
+          expect_same_run(legacy, run_network(std::move(cfg), c.factory),
+                          std::string{c.name} + " hidden-cut seed " + std::to_string(seed) +
+                              " shards " + std::to_string(shards) + " jobs " +
+                              std::to_string(jobs));
+        }
+      }
+    }
+    const auto legacy = run_network(chain_config(5, /*shards=*/0), c.factory);
+    // DB-DP's chain rarely overlaps a hidden pair (the pair's two links sit
+    // at opposite ends of their cells' priority orders); the contention
+    // schemes must collide across the cut or the comparison proves little.
+    if (std::string{c.name} != "DB-DP") {
+      constexpr std::size_t kLinks = kChainCells * kChainCellSize;
+      EXPECT_GT(legacy.pair_counts[(kChainCellSize - 1) * kLinks + kChainCellSize], 0U) << c.name;
+    }
+    for (const std::size_t shards : {2UL, 4UL}) {
+      for (const std::size_t jobs : {1UL, 2UL}) {
+        expect_same_run(legacy, run_network(chain_config(5, shards, jobs), c.factory),
+                        std::string{c.name} + " chain shards " + std::to_string(shards) +
+                            " jobs " + std::to_string(jobs));
+      }
+    }
+  }
+}
+
+TEST(ShardedNetworkTest, ConflictCutCliqueCellsTakeTheBatchPathAndRefuseBursts) {
+  for (const SchemeCase& c : all_schemes()) {
+    Network network{chain_config(3, /*shards=*/kChainCells), c.factory};
+    ASSERT_TRUE(network.sharded());
+    ASSERT_EQ(network.cell_count(), kChainCells);
+    for (std::size_t ci = 0; ci < network.cell_count(); ++ci) {
+      const phy::Medium& medium = network.cell_medium(ci);
+      EXPECT_TRUE(medium.sense_closed()) << c.name << " cell " << ci;
+      EXPECT_FALSE(medium.interference_closed()) << c.name << " cell " << ci;
+      EXPECT_FALSE(medium.burst_available()) << c.name << " cell " << ci;
+      EXPECT_TRUE(cell_batch_path(network, ci)) << c.name << " cell " << ci;
+    }
+    network.run(5);
+    EXPECT_GT(network.coordinator_rounds(), 0U) << c.name;
+  }
+  // Cut-free clique cells are interference-closed: bursts stay available.
+  Network cut_free{cells_config(3, /*shards=*/3), expfw::dbdp_factory()};
+  ASSERT_TRUE(cut_free.sharded());
+  for (std::size_t ci = 0; ci < cut_free.cell_count(); ++ci) {
+    EXPECT_TRUE(cut_free.cell_medium(ci).interference_closed()) << "cell " << ci;
+    EXPECT_TRUE(cut_free.cell_medium(ci).burst_available()) << "cell " << ci;
+  }
+}
+
+TEST(ShardedNetworkTest, CellWithARemoteListenerNeverKeepsCompleteSensing) {
+  for (const SchemeCase& c : all_schemes()) {
+    Network network{sensed_cut_config(9, /*shards=*/2), c.factory};
+    ASSERT_TRUE(network.sharded());
+    ASSERT_EQ(network.cell_count(), 2U);
+    ASSERT_EQ(network.cell_links(0)[0], 0U);
+    ASSERT_EQ(network.cell_links(1)[0], 2U);
+    // Cell 1 holds listener 2: per-node views and the scalar engines.
+    EXPECT_FALSE(network.cell_medium(1).sense_closed()) << c.name;
+    EXPECT_FALSE(network.cell_medium(1).interference_closed()) << c.name;
+    EXPECT_FALSE(cell_batch_path(network, 1)) << c.name;
+    // Cell 0 only speaks across the cut: sense-closed, not interference-closed.
+    EXPECT_TRUE(network.cell_medium(0).sense_closed()) << c.name;
+    EXPECT_FALSE(network.cell_medium(0).interference_closed()) << c.name;
+    EXPECT_TRUE(cell_batch_path(network, 0)) << c.name;
+
+    // Worker-count independence. (Equality with the legacy engine is not
+    // asserted on sense cuts: a listener cell's run limit bounds only its
+    // cut-conflict completions, so its backoff can run past remote activity
+    // it has not been handed yet — DESIGN §4i.)
+    expect_same_run(run_network(sensed_cut_config(9, /*shards=*/2, /*jobs=*/1), c.factory),
+                    run_network(sensed_cut_config(9, /*shards=*/2, /*jobs=*/2), c.factory),
+                    std::string{c.name} + " sensed cut jobs 1 vs 2");
+  }
+}
+
+TEST(ShardedNetworkTest, DbdpMemoryIsAccountedAndGrowsWithTheCellCount) {
+  const Network legacy{cells_config(9, /*shards=*/0), expfw::dbdp_factory()};
+  EXPECT_GT(legacy.memory_breakdown().mac, 0U);
+  const Network three{cells_config(9, /*shards=*/3, /*num_links=*/12), expfw::dbdp_factory()};
+  const Network six{cells_config(9, /*shards=*/6, /*num_links=*/24), expfw::dbdp_factory()};
+  ASSERT_EQ(three.cell_count(), 3U);
+  ASSERT_EQ(six.cell_count(), 6U);
+  EXPECT_GT(three.memory_breakdown().mac, 0U);
+  EXPECT_GT(six.memory_breakdown().mac, three.memory_breakdown().mac);
 }
 
 // ---- guard rails ------------------------------------------------------------

@@ -122,6 +122,36 @@ TEST(SketchTest, CompactionClearsExactFlagAndPreservesScalars) {
   EXPECT_LT(s.retained(), 200u);
 }
 
+TEST(SketchTest, BatchQuantilesMatchSingleReads) {
+  // The export path reads p50/p90/p99 through one gather; every entry must
+  // be the exact value quantile() reports, edge cases included.
+  const std::vector<double> qs = {0.5, 0.9, 0.99, 0.0, 1.0, -1.0, 2.0, std::nan(""), 0.25};
+  QuantileSketch exact;
+  QuantileSketch compacted{{/*k=*/8, /*exact_threshold=*/8}};
+  QuantileSketch merged;
+  const QuantileSketch empty;
+  for (int i = 0; i < 1000; ++i) {
+    const double v = static_cast<double>((i * 37) % 101);
+    if (i < 100) exact.update(v);
+    compacted.update(v);
+  }
+  merged.merge(exact);
+  merged.merge(compacted);
+  const std::vector<const QuantileSketch*> sketches = {&exact, &compacted, &merged, &empty};
+  for (const QuantileSketch* s : sketches) {
+    std::vector<double> batch(qs.size());
+    s->quantiles(qs, batch);
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      const double single = s->quantile(qs[i]);
+      if (std::isnan(single)) {
+        EXPECT_TRUE(std::isnan(batch[i])) << "q=" << qs[i];
+      } else {
+        EXPECT_EQ(batch[i], single) << "q=" << qs[i];
+      }
+    }
+  }
+}
+
 // The headline property: on a 10^7-sample stream the estimate for every
 // tested q lands within options().rank_error() of q in rank space, measured
 // against the fully-sorted exact reference. Uses a heavy-tailed mixture so
