@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
     observer.attach(net, run_label);
     net.run(args.intervals);
     observer.finish();
-    const auto& c = net.medium().counters();
-    const double sim_time = (net.simulator().now() - TimePoint::origin()).seconds_f();
+    const auto& c = net.medium_counters();
+    const double sim_time = (net.now() - TimePoint::origin()).seconds_f();
     const double busy_share = c.busy_time.seconds_f() / sim_time;
     const double empty_share =
         Duration::microseconds(70).seconds_f() * static_cast<double>(c.empty_tx) / sim_time;

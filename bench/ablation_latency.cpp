@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     net.attach_tracer(&tracer);
     net.run(args.intervals);
     const auto lat = stats::delivery_latencies(tracer, Duration::milliseconds(20));
-    table.add_row({net.scheme().name(),
+    table.add_row({net.cell_scheme(0).name(),
                    TablePrinter::num(static_cast<std::int64_t>(lat.count())),
                    lat.quantile(0.5).to_string(), lat.quantile(0.9).to_string(),
                    lat.quantile(0.99).to_string(), lat.max().to_string(),

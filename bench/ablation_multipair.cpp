@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
                    TablePrinter::num(d1), TablePrinter::num(d2),
                    TablePrinter::num(net.total_deficiency()),
                    TablePrinter::num(static_cast<std::int64_t>(
-                       net.medium().counters().collisions))});
+                       net.medium_counters().collisions))});
   }
   table.print(std::cout);
   std::cout << "\nmore pairs converge faster with zero collisions throughout\n";

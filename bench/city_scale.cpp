@@ -8,15 +8,11 @@
 // and media. Records events/sec and peak RSS.
 //
 // Phase 2 — speedup: a dense disconnected_cells_topology at 10^4 links
-// (625 cells of 16; smoke: 2048 links) small enough for the legacy
-// single-engine path, timed on both engines. Identical shape to BENCH_8's
-// phase 2, so the sharded events/sec gates directly against that baseline
-// (the arrival kernel + arena SoA + clique fast paths must at least double
-// it on one core).
-//
-// Phase A — adaptive lookahead: a chain of hidden-terminal-coupled cells
-// (every cut edge conflict-only) run twice, fixed windows vs adaptive
-// lookahead. Deliveries must agree exactly; the round count must drop.
+// (625 cells of 16; smoke: 2048 links) small enough to run as one cell over
+// all links, timed that way and as a 4-group partition. Identical shape to
+// BENCH_8's phase 2, so the sharded events/sec gates directly against that
+// baseline (the arrival kernel + arena SoA + clique fast paths must at
+// least double it on one core).
 //
 // Phase 3 — million links: 125000 clusters x 8 links (10^6; smoke reuses
 // the 10^5 shape) through the same pipeline, gated on a hard peak-RSS
@@ -74,7 +70,7 @@ Timing run_once(net::NetworkConfig cfg, IntervalIndex intervals) {
   t.cells = network.cell_count();
   t.groups = network.group_count();
   t.delivered = network.medium_counters().delivered;
-  t.coordinator_rounds = network.sharded() ? network.coordinator_rounds() : 0;
+  t.coordinator_rounds = network.coordinator_rounds();
   t.event_reallocs = network.event_reallocs();
   t.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return t;
@@ -130,12 +126,12 @@ int main(int argc, char** argv) {
             << static_cast<std::uint64_t>(city.events_per_sec())
             << " events/s, peak RSS " << city_rss_kb << " KB\n";
 
-  // ---- Phase 2: legacy vs sharded on the same dense topology ---------------
+  // ---- Phase 2: one cell vs sharded on the same dense topology -------------
   const std::size_t speedup_links = args.smoke ? 2048 : 10000;
   constexpr std::size_t kSpeedupCellSize = 16;
   const IntervalIndex speedup_intervals = args.intervals;
   std::cout << "Speedup: " << speedup_links << " links in cells of "
-            << kSpeedupCellSize << ", legacy vs 4-group sharded\n";
+            << kSpeedupCellSize << ", one cell vs 4-group sharded\n";
 
   const auto speedup_config = [&](std::size_t shards) {
     auto cfg = control_config(speedup_links, 77);
@@ -144,66 +140,22 @@ int main(int argc, char** argv) {
     cfg.shards = shards;
     return cfg;
   };
-  const Timing legacy = run_once(speedup_config(0), speedup_intervals);
+  const Timing one_cell = run_once(speedup_config(0), speedup_intervals);
   const Timing sharded = run_once(speedup_config(4), speedup_intervals);
-  const double ratio =
-      legacy.events_per_sec() > 0.0 ? sharded.events_per_sec() / legacy.events_per_sec() : 0.0;
-  std::cout << "  legacy:  " << static_cast<std::uint64_t>(legacy.events_per_sec())
+  const double ratio = one_cell.events_per_sec() > 0.0
+                           ? sharded.events_per_sec() / one_cell.events_per_sec()
+                           : 0.0;
+  std::cout << "  one cell: " << static_cast<std::uint64_t>(one_cell.events_per_sec())
             << " events/s\n"
-            << "  sharded: " << static_cast<std::uint64_t>(sharded.events_per_sec())
+            << "  sharded:  " << static_cast<std::uint64_t>(sharded.events_per_sec())
             << " events/s (" << sharded.cells << " cells, "
             << sharded.events_per_sec() / kBench8ShardedEventsPerSec
             << "x BENCH_8)\n"
-            << "  speedup: " << ratio << "x\n";
-  if (legacy.delivered != sharded.delivered) {
-    std::cout << "FAIL: engines disagree on delivered packets (" << legacy.delivered
+            << "  speedup:  " << ratio << "x\n";
+  if (one_cell.delivered != sharded.delivered) {
+    std::cout << "FAIL: partitions disagree on delivered packets (" << one_cell.delivered
               << " vs " << sharded.delivered << ")\n";
     return 1;
-  }
-
-  // ---- Phase A: adaptive coordinator lookahead A/B -------------------------
-  // Hidden-terminal chain with alternating load: even cells carry traffic,
-  // odd cells are idle. Every cut is conflict-only, so fixed vs adaptive
-  // windows must deliver identically. A blocked cell's clock already sits on
-  // its blocking completion, so the lookahead's leverage is the idle
-  // neighbor: its empty queue reports bound = +inf at the FIRST barrier of
-  // the interval, letting the busy side resolve its cut completions in one
-  // round instead of waiting a round for the neighbor's clock to reach the
-  // horizon — the lightly-loaded-cell regime a real city is full of.
-  const std::size_t chain_cells = args.smoke ? 64 : 256;
-  constexpr std::size_t kChainCellSize = 8;
-  std::cout << "Adaptive lookahead: " << chain_cells << "-cell hidden-terminal chain\n";
-  const auto chain_config = [&](bool adaptive) {
-    auto cfg = expfw::with_sparse_topology(
-        control_config(chain_cells * kChainCellSize, 4242),
-        expfw::chain_cells_topology(chain_cells, kChainCellSize));
-    cfg.uniform_arrivals.reset();
-    const traffic::BernoulliArrivals busy{0.8};
-    const traffic::BernoulliArrivals idle{0.0};
-    for (std::size_t l = 0; l < cfg.num_links(); ++l) {
-      const bool is_busy = (l / kChainCellSize) % 2 == 0;
-      cfg.arrivals.push_back((is_busy ? busy : idle).clone());
-      cfg.requirements.lambda[l] = is_busy ? 0.8 : 0.0;
-    }
-    cfg.shards = chain_cells;
-    cfg.shard_jobs = jobs;
-    cfg.adaptive_lookahead = adaptive;
-    return cfg;
-  };
-  const Timing fixed_la = run_once(chain_config(false), args.intervals);
-  const Timing adaptive_la = run_once(chain_config(true), args.intervals);
-  std::cout << "  fixed:    " << fixed_la.coordinator_rounds << " rounds, "
-            << static_cast<std::uint64_t>(fixed_la.events_per_sec()) << " events/s\n"
-            << "  adaptive: " << adaptive_la.coordinator_rounds << " rounds, "
-            << static_cast<std::uint64_t>(adaptive_la.events_per_sec()) << " events/s\n";
-  if (fixed_la.delivered != adaptive_la.delivered) {
-    std::cout << "FAIL: adaptive lookahead changed delivered packets ("
-              << fixed_la.delivered << " vs " << adaptive_la.delivered << ")\n";
-    return 1;
-  }
-  if (adaptive_la.coordinator_rounds >= fixed_la.coordinator_rounds) {
-    std::cout << "FAIL: adaptive lookahead did not reduce coordinator rounds\n";
-    failed = true;
   }
 
   // ---- Phase 3: one million links under the RSS ceiling --------------------
@@ -233,21 +185,15 @@ int main(int argc, char** argv) {
   // ---- JSON for tools/bench_report.py --extra ------------------------------
   const std::string json_path = expfw::bench_output_dir() + "/city_scale.json";
   std::ofstream json{json_path};
-  json << "{\"schema\":\"rtmac.city_scale\",\"version\":2,\"smoke\":"
+  json << "{\"schema\":\"rtmac.city_scale\",\"version\":3,\"smoke\":"
        << (args.smoke ? "true" : "false") << ",\n \"city\":";
   write_timing(json, city, args.intervals, city_links);
-  json << ",\n \"city_peak_rss_kb\":" << city_rss_kb << ",\n \"speedup\":{\"legacy\":";
-  write_timing(json, legacy, speedup_intervals, speedup_links);
+  json << ",\n \"city_peak_rss_kb\":" << city_rss_kb << ",\n \"speedup\":{\"one_cell\":";
+  write_timing(json, one_cell, speedup_intervals, speedup_links);
   json << ",\"sharded\":";
   write_timing(json, sharded, speedup_intervals, speedup_links);
   json << ",\"events_per_sec_ratio\":" << ratio
        << ",\"bench8_sharded_events_per_sec\":" << kBench8ShardedEventsPerSec << "}";
-  json << ",\n \"adaptive_lookahead\":{\"fixed\":";
-  write_timing(json, fixed_la, args.intervals, chain_cells * kChainCellSize);
-  json << ",\"adaptive\":";
-  write_timing(json, adaptive_la, args.intervals, chain_cells * kChainCellSize);
-  json << ",\"rounds_saved\":"
-       << (fixed_la.coordinator_rounds - adaptive_la.coordinator_rounds) << "}";
   json << ",\n \"million\":";
   write_timing(json, million, million_intervals, million_links);
   json << ",\n \"million_peak_rss_kb\":" << million_rss_kb

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
                                     phy::PhyParams::control_80211a(), 0.9,
                                     traffic::BernoulliArrivals{0.3}, 0.5, 77);
   net::Network network{std::move(cfg), expfw::dp_fixed_mu_factory(mu)};
-  auto* dp = dynamic_cast<mac::DpScheme*>(&network.scheme());
+  auto* dp = dynamic_cast<const mac::DpScheme*>(&network.cell_scheme(0));
 
   network.run(burn_in);
   std::vector<double> counts(6, 0.0);

@@ -31,11 +31,11 @@ int main(int argc, char** argv) {
     double mean_ratio = 0.0;
     for (LinkId n = 0; n < 10; ++n) mean_ratio += net.stats().delivery_ratio(n) / 10.0;
     table.add_row(
-        {net.scheme().name(), TablePrinter::num(net.total_deficiency()),
+        {net.cell_scheme(0).name(), TablePrinter::num(net.total_deficiency()),
          TablePrinter::num(mean_ratio),
-         TablePrinter::num(static_cast<double>(net.medium().counters().empty_tx) /
+         TablePrinter::num(static_cast<double>(net.medium_counters().empty_tx) /
                            static_cast<double>(intervals)),
-         TablePrinter::num(static_cast<std::int64_t>(net.medium().counters().collisions))});
+         TablePrinter::num(static_cast<std::int64_t>(net.medium_counters().collisions))});
   }
   table.print(std::cout);
 

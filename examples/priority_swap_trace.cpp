@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
                                     phy::PhyParams::video_80211a(), 1.0,
                                     traffic::ConstantArrivals{1}, 0.9, 20240706);
   net::Network net{std::move(cfg), expfw::dp_fixed_mu_factory({0.5, 0.5, 0.5, 0.5})};
-  auto* dp = dynamic_cast<mac::DpScheme*>(&net.scheme());
+  auto* dp = dynamic_cast<const mac::DpScheme*>(&net.cell_scheme(0));
 
   const mac::SharedSeed seed{mix64(20240706, 0x5EEDC0DE)};  // matches DpScheme internals
 
@@ -50,6 +50,6 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   std::cout << "\nEvery change is an adjacent transposition at the candidate pair;\n"
-               "zero collisions occurred: " << net.medium().counters().collisions << "\n";
+               "zero collisions occurred: " << net.medium_counters().collisions << "\n";
   return 0;
 }

@@ -43,7 +43,7 @@ int main() {
 
   std::cout << "after 2000 intervals:\n";
   std::cout << "  DB-DP total deficiency: " << dbdp.total_deficiency()
-            << "   (collisions: " << dbdp.medium().counters().collisions << ")\n";
+            << "   (collisions: " << dbdp.medium_counters().collisions << ")\n";
   std::cout << "  LDF   total deficiency: " << ldf.total_deficiency() << "\n\n";
 
   std::cout << "per-link timely-throughput under DB-DP (target q = "

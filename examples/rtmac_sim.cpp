@@ -112,29 +112,29 @@ int main(int argc, char** argv) {
   if (!observer.finish()) return 1;
 
   const auto q = network.config().requirements.q();
-  const auto& counters = network.medium().counters();
+  const auto& counters = network.medium_counters();
   const auto tputs = network.stats().timely_throughputs();
 
-  std::cout << "scheme: " << network.scheme().name() << "  links: " << links
+  std::cout << "scheme: " << network.cell_scheme(0).name() << "  links: " << links
             << "  profile: " << profile << "  intervals: " << intervals << " ("
-            << network.simulator().now().seconds_f() << " s simulated)\n\n";
+            << network.now().seconds_f() << " s simulated)\n\n";
   std::cout << "total timely-throughput deficiency: " << network.total_deficiency() << "\n";
   std::cout << "Jain fairness (timely-throughput):  " << stats::jain_index(tputs) << "\n";
   std::cout << "channel: " << counters.data_tx << " data tx, " << counters.empty_tx
             << " claim tx, " << counters.collisions << " collisions, "
             << counters.channel_losses << " channel losses, busy "
             << 100.0 * counters.busy_time.seconds_f() /
-                   network.simulator().now().seconds_f()
+                   network.now().seconds_f()
             << "%\n\n";
 
   TablePrinter table{{"link", "q_n", "timely tput", "delivery ratio", "airtime share"}};
-  const double sim_seconds = network.simulator().now().seconds_f();
+  const double sim_seconds = network.now().seconds_f();
   for (LinkId n = 0; n < links; ++n) {
     table.add_row({TablePrinter::num(static_cast<std::int64_t>(n)),
                    TablePrinter::num(q[n]), TablePrinter::num(tputs[n]),
                    TablePrinter::num(network.stats().delivery_ratio(n)),
                    TablePrinter::num(
-                       network.medium().link_counters(n).airtime.seconds_f() / sim_seconds)});
+                       network.link_counters(n).airtime.seconds_f() / sim_seconds)});
   }
   table.print(std::cout);
 

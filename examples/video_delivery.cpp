@@ -31,12 +31,12 @@ int main(int argc, char** argv) {
     for (LinkId n = 0; n < 20; ++n) {
       worst_ratio = std::min(worst_ratio, net.stats().delivery_ratio(n));
     }
-    const double busy = net.medium().counters().busy_time.seconds_f() /
-                        (net.simulator().now() - TimePoint::origin()).seconds_f();
-    table.add_row({net.scheme().name(), TablePrinter::num(net.total_deficiency()),
+    const double busy = net.medium_counters().busy_time.seconds_f() /
+                        (net.now() - TimePoint::origin()).seconds_f();
+    table.add_row({net.cell_scheme(0).name(), TablePrinter::num(net.total_deficiency()),
                    TablePrinter::num(worst_ratio),
                    TablePrinter::num(static_cast<std::int64_t>(
-                       net.medium().counters().collisions)),
+                       net.medium_counters().collisions)),
                    TablePrinter::num(busy)});
   }
   table.print(std::cout);

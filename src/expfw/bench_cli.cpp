@@ -28,9 +28,9 @@ BenchArgs parse_bench_args(int argc, const char* const* argv,
         << default_intervals << ")\n"
         << "  --reps N         replications per grid point (default 1)\n"
         << "  --jobs N         sweep worker threads (default 0 = all cores)\n"
-        << "  --shards N       partition each network into N shards (0 forces the\n"
-        << "                   legacy engine; default: whatever the bench's configs\n"
-        << "                   say). Results are byte-identical for any value.\n"
+        << "  --shards N       partition each network into N shards (0 runs one\n"
+        << "                   cell over all links; default: whatever the bench's\n"
+        << "                   configs say). Results are byte-identical for any value.\n"
         << "  --shard-jobs N   worker threads per sharded network (default: one\n"
         << "                   per parallel group, capped at the core count)\n"
         << "  --smoke          tiny grid + short horizon for CI\n"
@@ -96,7 +96,7 @@ BenchArgs parse_bench_args(int argc, const char* const* argv,
   const std::int64_t shards = require_int("shards", -1);
   const std::int64_t shard_jobs = require_int("shard-jobs", -1);
   if (args.has("shards") && shards < 0) {
-    std::cerr << "--shards must be >= 0 (0 forces the legacy engine)\n";
+    std::cerr << "--shards must be >= 0 (0 runs one cell over all links)\n";
     std::exit(2);
   }
   if (args.has("shard-jobs") && shard_jobs < 0) {

@@ -308,9 +308,9 @@ std::vector<SweepResult> run_sweeps(const std::vector<SchemeSpec>& schemes,
           obs::StringStreamSink stream_sink;
           if (with_metrics || with_stream) network.attach_metrics(&registry);
           if (with_stream) registry.stream_to(&stream_sink, opts.stream_every, context);
-          // Protocol tracing is a single-engine feature; a sharded task
+          // Protocol tracing needs a one-cell network; a multi-cell task
           // simply goes untraced (the trace file stays empty).
-          if (with_trace && task_index == 0 && !network.sharded()) {
+          if (with_trace && task_index == 0 && network.cell_count() == 1) {
             network.attach_tracer(&trace_capture);
             network.add_observer([&network](IntervalIndex k, std::span<const int>,
                                             std::span<const int>) {

@@ -96,7 +96,7 @@ inline constexpr double kPaperR = 10.0;
 /// `cell_size`; cells are independent collision domains. The canonical
 /// sharding benchmark topology — the partitioner recovers the cells exactly
 /// and the cut sets are empty, so sharded results are byte-identical to the
-/// single-engine run by construction.
+/// one-cell run by construction.
 [[nodiscard]] phy::InterferenceGraph disconnected_cells_topology(std::size_t num_links,
                                                                  std::size_t cell_size);
 

@@ -80,9 +80,9 @@ struct SchemeContext {
   const core::DebtTracker& debts;          ///< updated by the Network between intervals
   std::uint64_t seed;                      ///< root seed for scheme-local randomness
 
-  // Shard-cell identity. On the legacy single-engine path these keep their
-  // defaults and global_id() is the identity, so every existing
-  // brace-initialization site stays valid. On a shard cell, `num_links`,
+  // Cell identity. Standalone harnesses keep the defaults and global_id()
+  // is the identity, so every brace-initialization site stays valid. On a
+  // Network cell, `num_links`,
   // `medium`, `debts` etc. are cell-local, while `link_ids` maps local
   // indices back to the network-wide ids that RNG streams, trace labels and
   // the DP priority space are keyed by — results must not depend on the

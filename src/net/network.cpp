@@ -166,10 +166,10 @@ struct Network::Cell final : public sim::ShardCell {
   }
 };
 
-// ---- Shard ------------------------------------------------------------------
+// ---- Engine -----------------------------------------------------------------
 
-/// Everything the sharded engine owns beyond the legacy members.
-struct Network::Shard {
+/// The plan and everything that executes it.
+struct Network::Engine {
   sim::ShardPlan plan;
   std::vector<LinkId> local_of;  ///< global id -> index within its cell
   std::unique_ptr<CutState> cut;
@@ -186,16 +186,49 @@ void Network::Cell::drain_outbox(std::vector<sim::CutTxRecord>& into)
   medium->drain_cut_outbox(outbox_scratch);
   for (const phy::CutTxExport& e : outbox_scratch) {
     const sim::CutTxRecord r{e.link, index, e.start, e.end};
-    net.shard_->cut->add_record(r);
+    net.engine_->cut->add_record(r);
     into.push_back(r);
   }
 }
 
 // ---- construction -----------------------------------------------------------
 
+namespace {
+
+/// The cell plan for `config`. With `shards == 0` and no auto-sharding, or
+/// without a topology (the paper's complete domain), every link shares one
+/// cell and the partitioner is not consulted; otherwise the conflict∪sense
+/// graph is partitioned.
+sim::ShardPlan plan_cells(const NetworkConfig& config) {
+  const std::size_t n = config.num_links();
+  const std::size_t target =
+      config.shards > 0 ? config.shards
+                        : (config.auto_shard ? ThreadPool::hardware_threads() : 0);
+  if (target == 0) return sim::ShardPlan::single_cell(n);
+  if (config.sparse_topology != nullptr) {
+    // Partition from the sparse lists in place — a 10^6-link topology's
+    // adjacency is hundreds of MB, so no deep copy on this path.
+    return sim::partition_topology(config.sparse_topology->conflict,
+                                   config.sparse_topology->sense, target);
+  }
+  if (!config.topology.has_value()) return sim::ShardPlan::single_cell(n);
+  const phy::InterferenceGraph& g = *config.topology;
+  sim::AdjacencyLists conflict(n);
+  sim::AdjacencyLists sense(n);
+  for (LinkId a = 0; a < n; ++a) {
+    for (LinkId b = 0; b < n; ++b) {
+      if (a == b) continue;
+      if (g.conflicts(a, b)) conflict[a].push_back(b);
+      if (g.senses(a, b)) sense[a].push_back(b);
+    }
+  }
+  return sim::partition_topology(conflict, sense, target);
+}
+
+}  // namespace
+
 Network::Network(NetworkConfig config, const mac::SchemeFactory& scheme_factory)
     : config_{std::move(config)},
-      medium_{nullptr},
       debts_{config_.requirements.q()},
       stats_{config_.num_links()},
       arrival_rng_{config_.seed, /*stream_id=*/0xA221BA15ULL},
@@ -216,126 +249,47 @@ Network::Network(NetworkConfig config, const mac::SchemeFactory& scheme_factory)
       arrival_kernel_.build_uniform(*config_.uniform_arrivals, config_.num_links(), arena_);
     }
   }
-  const std::size_t target =
-      config_.shards > 0
-          ? config_.shards
-          : (config_.auto_shard ? ThreadPool::hardware_threads() : 0);
-  if (target >= 1 &&
-      (config_.topology.has_value() || config_.sparse_topology != nullptr)) {
-    build_shard(target, scheme_factory);
-  }
-  if (shard_ != nullptr) return;
-
-  // Legacy single-engine path. A sparse topology whose partition came out
-  // trivial (one cell, no cuts) is densified so the single Medium can serve
-  // it — behavior is identical by construction.
-  if (config_.sparse_topology != nullptr && !config_.topology.has_value()) {
-    config_.topology = phy::InterferenceGraph::from_lists(
-        config_.num_links(), config_.sparse_topology->conflict, config_.sparse_topology->sense);
-  }
-  identity_links_.resize(config_.num_links());
-  for (std::size_t i = 0; i < identity_links_.size(); ++i) {
-    identity_links_[i] = static_cast<LinkId>(i);
-  }
-  // Pre-size the engine's slot pool and heap so a steady-state run never
-  // reallocates (engine.events.reallocs proves it in the metrics export).
-  sim_.reserve_events(config_.event_capacity_hint());
-  if (config_.channel_factory) {
-    auto channel = config_.channel_factory();
-    RTMAC_REQUIRE(channel != nullptr && channel->num_links() == config_.num_links(), "channel model size must match the network");
-    if (config_.topology.has_value()) {
-      medium_ = std::make_unique<phy::Medium>(sim_, std::move(channel), *config_.topology,
-                                              config_.seed, &arena_);
-    } else {
-      medium_ = std::make_unique<phy::Medium>(sim_, std::move(channel), config_.seed, &arena_);
-    }
-  } else if (config_.topology.has_value()) {
-    medium_ = std::make_unique<phy::Medium>(sim_, config_.success_prob, *config_.topology,
-                                            config_.seed, &arena_);
-  } else {
-    medium_ = std::make_unique<phy::Medium>(sim_, config_.success_prob, config_.seed, &arena_);
-  }
-  mac::SchemeContext ctx{sim_,
-                         *medium_,
-                         config_.phy,
-                         config_.interval_length,
-                         config_.num_links(),
-                         config_.success_prob,
-                         debts_,
-                         config_.seed};
-  ctx.arena = &arena_;
-  scheme_ = scheme_factory(ctx);
-  RTMAC_REQUIRE(scheme_ != nullptr);
+  build_engine(plan_cells(config_), scheme_factory);
 }
 
 Network::~Network() = default;
 
-void Network::build_shard(std::size_t target_shards, const mac::SchemeFactory& scheme_factory) {
+void Network::build_engine(sim::ShardPlan plan, const mac::SchemeFactory& scheme_factory) {
   const std::size_t n = config_.num_links();
-  // Partition from the sparse lists in place — a 10^6-link topology's
-  // adjacency is hundreds of MB, so no deep copy on this path.
-  sim::AdjacencyLists conflict_storage;
-  sim::AdjacencyLists sense_storage;
-  const sim::AdjacencyLists* conflict = nullptr;
-  const sim::AdjacencyLists* sense = nullptr;
-  if (config_.sparse_topology != nullptr) {
-    conflict = &config_.sparse_topology->conflict;
-    sense = &config_.sparse_topology->sense;
-  } else if (config_.topology.has_value()) {
-    // The has_value() guard is local on purpose: the caller checks it too,
-    // but flow-sensitive analyzers (bugprone-unchecked-optional-access) only
-    // see in-function guards.
-    const phy::InterferenceGraph& g = *config_.topology;
-    conflict_storage.resize(n);
-    sense_storage.resize(n);
-    for (LinkId a = 0; a < n; ++a) {
-      for (LinkId b = 0; b < n; ++b) {
-        if (a == b) continue;
-        if (g.conflicts(a, b)) conflict_storage[a].push_back(b);
-        if (g.senses(a, b)) sense_storage[a].push_back(b);
-      }
-    }
-    conflict = &conflict_storage;
-    sense = &sense_storage;
-  } else {
-    RTMAC_UNREACHABLE("build_shard requires a topology");
-  }
-  sim::ShardPlan plan = sim::partition_topology(*conflict, *sense, target_shards);
-  if (plan.trivial()) return;  // caller falls back to the legacy engine
-
-  shard_ = std::make_unique<Shard>();
-  Shard& sh = *shard_;
-  sh.plan = std::move(plan);
-  const std::size_t num_cells = sh.plan.cells.size();
-  sh.local_of.assign(n, 0);
+  engine_ = std::make_unique<Engine>();
+  Engine& eng = *engine_;
+  eng.plan = std::move(plan);
+  const std::size_t num_cells = eng.plan.cells.size();
+  const bool one_cell = num_cells == 1;
+  eng.local_of.assign(n, 0);
   for (std::size_t ci = 0; ci < num_cells; ++ci) {
-    const std::vector<LinkId>& links = sh.plan.cells[ci];
+    const std::vector<LinkId>& links = eng.plan.cells[ci];
     for (std::size_t j = 0; j < links.size(); ++j) {
-      sh.local_of[links[j]] = static_cast<LinkId>(j);
+      eng.local_of[links[j]] = static_cast<LinkId>(j);
     }
   }
-  sh.cut = std::make_unique<CutState>();
-  sh.cut->build(sh.plan);
+  eng.cut = std::make_unique<CutState>();
+  eng.cut->build(eng.plan);
 
   std::vector<std::uint8_t> has_cut_conflict(n, 0);
   std::vector<std::uint8_t> is_cut_speaker(n, 0);
-  for (const sim::CutEdge& e : sh.plan.cut_conflicts) {
+  for (const sim::CutEdge& e : eng.plan.cut_conflicts) {
     has_cut_conflict[e.a] = 1;
     has_cut_conflict[e.b] = 1;
   }
-  for (const sim::CutSense& s : sh.plan.cut_senses) is_cut_speaker[s.speaker] = 1;
+  for (const sim::CutSense& s : eng.plan.cut_senses) is_cut_speaker[s.speaker] = 1;
 
   // Remote-sense registrations grouped per listening cell: (speaker global
   // id, local listener node).
   std::vector<std::vector<std::pair<LinkId, LinkId>>> remote(num_cells);
-  for (const sim::CutSense& s : sh.plan.cut_senses) {
-    remote[sh.plan.cell_of[s.listener]].emplace_back(s.speaker, sh.local_of[s.listener]);
+  for (const sim::CutSense& s : eng.plan.cut_senses) {
+    remote[eng.plan.cell_of[s.listener]].emplace_back(s.speaker, eng.local_of[s.listener]);
   }
 
   const RateVector q = config_.requirements.q();
-  sh.cells.reserve(num_cells);
+  eng.cells.reserve(num_cells);
   for (std::size_t ci = 0; ci < num_cells; ++ci) {
-    const std::vector<LinkId>& links = sh.plan.cells[ci];
+    const std::vector<LinkId>& links = eng.plan.cells[ci];
     RateVector q_slice;
     ProbabilityVector p_slice;
     q_slice.reserve(links.size());
@@ -352,38 +306,52 @@ void Network::build_shard(std::size_t target_shards, const mac::SchemeFactory& s
     // single-view sensing and shared-clock batch paths, cut conflict edges
     // or not — the cut resolver settles their outcomes, not sensing. Only
     // the burst path needs more (interference-closed, settled by
-    // configure_shard). DESIGN §4i.
+    // configure_shard). Without a topology the one cell is the paper's
+    // complete collision domain. DESIGN §4i.
     const auto flags = remote[ci].empty()
                            ? phy::InterferenceGraph::SubgraphFlags::kKeepCompleteness
                            : phy::InterferenceGraph::SubgraphFlags::kClearCompleteness;
     phy::InterferenceGraph cell_graph =
         config_.sparse_topology != nullptr
             ? phy::induced_subgraph(*config_.sparse_topology, cell->links, flags)
-            : config_.topology->induced(cell->links, flags);
-    cell->medium = std::make_unique<phy::Medium>(cell->sim, cell->success_prob,
+        : config_.topology.has_value() ? config_.topology->induced(cell->links, flags)
+                                       : phy::InterferenceGraph::complete(links.size());
+    // validate() admits a custom channel model only where the plan has one
+    // cell (no shards, no auto-sharding).
+    std::unique_ptr<phy::ChannelModel> channel =
+        config_.channel_factory ? config_.channel_factory()
+                                : std::make_unique<phy::StaticChannel>(cell->success_prob);
+    RTMAC_REQUIRE(channel != nullptr && channel->num_links() == links.size(),
+                  "channel model size must match the network");
+    cell->medium = std::make_unique<phy::Medium>(cell->sim, std::move(channel),
                                                  std::move(cell_graph), config_.seed, &arena_);
 
-    phy::ShardMediumConfig smc;
-    smc.global_ids = cell->links;
-    smc.conflict_cut.resize(links.size(), 0);
-    smc.exported.resize(links.size(), 0);
-    for (std::size_t j = 0; j < links.size(); ++j) {
-      smc.conflict_cut[j] = has_cut_conflict[links[j]];
-      smc.exported[j] =
-          static_cast<std::uint8_t>(has_cut_conflict[links[j]] | is_cut_speaker[links[j]]);
-    }
-    smc.resolver = sh.cut.get();
-    cell->medium->configure_shard(std::move(smc));
-
-    std::vector<std::pair<LinkId, LinkId>>& regs = remote[ci];
-    std::sort(regs.begin(), regs.end());
+    // Shard mode re-keys loss draws per global link so they are independent
+    // of the partition; one cell has nothing to be independent of, and a
+    // complete graph must keep the Medium's shared loss stream.
     std::size_t num_speakers = 0;
-    for (std::size_t i = 0; i < regs.size();) {
-      const LinkId speaker = regs[i].first;
-      std::vector<LinkId> nodes;
-      for (; i < regs.size() && regs[i].first == speaker; ++i) nodes.push_back(regs[i].second);
-      cell->medium->register_remote_sense(speaker, std::move(nodes));
-      ++num_speakers;
+    if (!one_cell) {
+      phy::ShardMediumConfig smc;
+      smc.global_ids = cell->links;
+      smc.conflict_cut.resize(links.size(), 0);
+      smc.exported.resize(links.size(), 0);
+      for (std::size_t j = 0; j < links.size(); ++j) {
+        smc.conflict_cut[j] = has_cut_conflict[links[j]];
+        smc.exported[j] =
+            static_cast<std::uint8_t>(has_cut_conflict[links[j]] | is_cut_speaker[links[j]]);
+      }
+      smc.resolver = eng.cut.get();
+      cell->medium->configure_shard(std::move(smc));
+
+      std::vector<std::pair<LinkId, LinkId>>& regs = remote[ci];
+      std::sort(regs.begin(), regs.end());
+      for (std::size_t i = 0; i < regs.size();) {
+        const LinkId speaker = regs[i].first;
+        std::vector<LinkId> nodes;
+        for (; i < regs.size() && regs[i].first == speaker; ++i) nodes.push_back(regs[i].second);
+        cell->medium->register_remote_sense(speaker, std::move(nodes));
+        ++num_speakers;
+      }
     }
     mac::SchemeContext ctx{cell->sim,
                            *cell->medium,
@@ -398,8 +366,8 @@ void Network::build_shard(std::size_t target_shards, const mac::SchemeFactory& s
     ctx.arena = &arena_;
     cell->scheme = scheme_factory(ctx);
     RTMAC_REQUIRE(cell->scheme != nullptr);
-    RTMAC_REQUIRE(cell->scheme->shardable(),
-                  "scheme requires global knowledge and cannot run on shard cells");
+    RTMAC_REQUIRE(one_cell || cell->scheme->shardable(),
+                  "scheme requires global knowledge and cannot run on a multi-cell plan");
     // The reserve covers the PEAK number of simultaneously pending events,
     // not the per-interval total: the scheme declares its per-link timer
     // bound (batch shared-clock schemes keep ONE domain expiry event plus at
@@ -412,41 +380,46 @@ void Network::build_shard(std::size_t target_shards, const mac::SchemeFactory& s
     // engine.events.reallocs == 0 in the bench gate proves the bound holds.
     cell->sim.reserve_events(links.size() * cell->scheme->pending_events_per_link() + 16 +
                              4 * num_speakers);
-    sh.cells.push_back(std::move(cell));
+    eng.cells.push_back(std::move(cell));
   }
-  sh.cell_ptrs.reserve(num_cells);
-  for (const auto& cell : sh.cells) sh.cell_ptrs.push_back(cell.get());
+  eng.cell_ptrs.reserve(num_cells);
+  for (const auto& cell : eng.cells) eng.cell_ptrs.push_back(cell.get());
 
-  std::size_t jobs =
-      config_.shard_jobs != 0 ? config_.shard_jobs : ThreadPool::hardware_threads();
-  jobs = std::min(jobs, sh.plan.groups.size());
+  // One group needs no pool, and hardware_threads() reads sysfs (tens of
+  // microseconds cold, more than the rest of a small network's set-up), so
+  // it is asked only when there is a choice to make.
+  const std::size_t groups = eng.plan.groups.size();
+  const std::size_t jobs =
+      groups <= 1 ? 1
+                  : std::min(groups, config_.shard_jobs != 0 ? config_.shard_jobs
+                                                             : ThreadPool::hardware_threads());
   if (jobs > 1) {
-    sh.pool = std::make_unique<ThreadPool>(jobs);
-    sh.futures.reserve(sh.plan.groups.size());
+    eng.pool = std::make_unique<ThreadPool>(jobs);
+    eng.futures.reserve(groups);
   }
 
-  if (!sh.plan.cut_conflicts.empty() || !sh.plan.cut_senses.empty()) {
+  if (!eng.plan.cut_conflicts.empty() || !eng.plan.cut_senses.empty()) {
     // Cells coupled by ANY cut relation bound each other's windows. Sense
     // cuts only require listener-waits-for-speaker, but the symmetric form
     // is simpler and merely conservative.
     std::vector<std::vector<std::uint32_t>> cut_neighbors(num_cells);
-    auto couple = [&sh, &cut_neighbors](LinkId x, LinkId y) {
-      const std::uint32_t cx = sh.plan.cell_of[x];
-      const std::uint32_t cy = sh.plan.cell_of[y];
+    auto couple = [&eng, &cut_neighbors](LinkId x, LinkId y) {
+      const std::uint32_t cx = eng.plan.cell_of[x];
+      const std::uint32_t cy = eng.plan.cell_of[y];
       if (cx != cy) {
         cut_neighbors[cx].push_back(cy);
         cut_neighbors[cy].push_back(cx);
       }
     };
-    for (const sim::CutEdge& e : sh.plan.cut_conflicts) couple(e.a, e.b);
-    for (const sim::CutSense& s : sh.plan.cut_senses) couple(s.listener, s.speaker);
+    for (const sim::CutEdge& e : eng.plan.cut_conflicts) couple(e.a, e.b);
+    for (const sim::CutSense& s : eng.plan.cut_senses) couple(s.listener, s.speaker);
     for (auto& v : cut_neighbors) {
       std::sort(v.begin(), v.end());
       v.erase(std::unique(v.begin(), v.end()), v.end());
     }
-    sh.coordinator = std::make_unique<sim::ShardCoordinator>(
-        sh.cell_ptrs, std::move(cut_neighbors), sim::CutListeners::from_plan(sh.plan),
-        sh.plan.groups, sh.pool.get(), config_.adaptive_lookahead);
+    eng.coordinator = std::make_unique<sim::ShardCoordinator>(
+        eng.cell_ptrs, std::move(cut_neighbors), sim::CutListeners::from_plan(eng.plan),
+        eng.plan.groups, eng.pool.get());
   }
 }
 
@@ -457,28 +430,26 @@ void Network::add_observer(IntervalObserver observer) {
 }
 
 void Network::attach_tracer(sim::Tracer* tracer) {
-  RTMAC_REQUIRE(tracer == nullptr || !sharded(),
-                "protocol tracing requires the single-engine path");
+  RTMAC_REQUIRE(tracer == nullptr || cell_count() == 1,
+                "protocol tracing requires a one-cell network");
   tracer_ = tracer;
-  if (medium_ != nullptr) medium_->set_tracer(tracer);
+  engine_->cells.front()->medium->set_tracer(tracer);
 }
 
 void Network::attach_metrics(obs::MetricsRegistry* registry) {
   metrics_ = registry;
-  if (shard_ != nullptr) {
-    // Each cell's medium/MAC instruments go to a private registry so the
-    // parallel phase never shares one; merge_cell_metrics_into folds them.
-    for (auto& cell : shard_->cells) {
-      if (registry != nullptr) {
-        cell->registry = std::make_unique<obs::MetricsRegistry>();
-        cell->medium->set_metrics(cell->registry.get());
-      } else {
-        cell->medium->set_metrics(nullptr);
-        cell->registry.reset();
-      }
+  // One cell writes its medium/MAC instruments straight into `registry`, so
+  // in-run streams carry them. Several cells each get a private registry so
+  // the parallel phase never shares one; merge_cell_metrics_into folds them.
+  const bool private_registries = registry != nullptr && cell_count() > 1;
+  for (auto& cell : engine_->cells) {
+    if (private_registries) {
+      cell->registry = std::make_unique<obs::MetricsRegistry>();
+      cell->medium->set_metrics(cell->registry.get());
+    } else {
+      cell->medium->set_metrics(registry);
+      cell->registry.reset();
     }
-  } else {
-    medium_->set_metrics(registry);
   }
   debt_gauges_.clear();
   debt_sketches_.clear();
@@ -517,8 +488,8 @@ void Network::run(IntervalIndex intervals) {
                             static_cast<std::int64_t>(k) * config_.interval_length;
     const TimePoint end = start + config_.interval_length;
 
-    // Arrivals are sampled centrally in global link order on BOTH engines,
-    // so the sampled sequence is independent of the partition. The kernel
+    // Arrivals are sampled centrally in global link order, so the sampled
+    // sequence is independent of the partition. The kernel
     // consumes the stream exactly as the per-link virtual loop would.
     if (config_.joint_arrivals != nullptr) {
       config_.joint_arrivals->sample_into(arrival_rng_, arrivals);
@@ -526,49 +497,32 @@ void Network::run(IntervalIndex intervals) {
       arrival_kernel_.sample_into(arrival_rng_, arrivals.first(n_links));
     }
 
-    if (shard_ != nullptr) {
-      run_sharded_interval(k, start, end);
-    } else {
-      run_legacy_interval(k, start, end);
-    }
+    run_interval(k, start, end);
     finish_interval(k, end);
   }
 }
 
-void Network::run_legacy_interval(IntervalIndex k, TimePoint start, TimePoint end) {
-  RTMAC_ASSERT(sim_.now() == start, "interval boundaries drifted");
-  medium_->note_interval_start(start);  // anchors the delivery-latency series
-  if (tracer_ != nullptr) {
-    tracer_->record(start, sim::TraceKind::kIntervalStart, sim::kNoLink,
-                    static_cast<std::int64_t>(k));
-  }
-  scheme_->begin_interval(k, arrivals_, end);
-  sim_.run_until(end);
-  RTMAC_ASSERT(!medium_->busy(), "a transmission overran the interval boundary (gap rule)");
-  scheme_->end_interval(delivered_);
-  if (tracer_ != nullptr) {
-    tracer_->record(end, sim::TraceKind::kIntervalEnd, sim::kNoLink,
-                    static_cast<std::int64_t>(k));
-  }
-}
-
-void Network::run_sharded_interval(IntervalIndex k, TimePoint start, TimePoint end) {
-  Shard& sh = *shard_;
-  for (auto& cell : sh.cells) {
+void Network::run_interval(IntervalIndex k, TimePoint start, TimePoint end) {
+  Engine& eng = *engine_;
+  for (auto& cell : eng.cells) {
     for (std::size_t j = 0; j < cell->links.size(); ++j) {
       cell->arrivals[j] = arrivals_[cell->links[j]];
     }
   }
+  if (tracer_ != nullptr) {
+    tracer_->record(start, sim::TraceKind::kIntervalStart, sim::kNoLink,
+                    static_cast<std::int64_t>(k));
+  }
 
-  if (sh.coordinator != nullptr) {
+  if (eng.coordinator != nullptr) {
     // Cut path: serial interval-edge work, windowed parallel advancement.
-    for (auto& cell : sh.cells) {
+    for (auto& cell : eng.cells) {
       RTMAC_ASSERT(cell->sim.now() == start, "interval boundaries drifted");
       cell->medium->note_interval_start(start);
       cell->scheme->begin_interval(k, cell->arrivals, end);
     }
-    sh.coordinator->advance_to(end);
-    for (auto& cell : sh.cells) {
+    eng.coordinator->advance_to(end);
+    for (auto& cell : eng.cells) {
       RTMAC_ASSERT(!cell->medium->busy(),
                    "a transmission overran the interval boundary (gap rule)");
       cell->scheme->end_interval(cell->delivered);
@@ -577,16 +531,16 @@ void Network::run_sharded_interval(IntervalIndex k, TimePoint start, TimePoint e
     {
       // Interval boundary is serial — same discipline as the window barrier.
       const util::PhantomLock barrier{sim::shard_barrier};
-      sh.cut->clear_records();
+      eng.cut->clear_records();
     }
   } else {
     // Cut-free fast path: cells are fully independent, so the whole interval
     // (begin / run / end / debts) folds into one task per group.
     auto run_group = [&](const std::vector<std::uint32_t>& group) {
       for (const std::uint32_t ci : group) {
-        Cell& cell = *sh.cells[ci];
+        Cell& cell = *eng.cells[ci];
         RTMAC_ASSERT(cell.sim.now() == start, "interval boundaries drifted");
-        cell.medium->note_interval_start(start);
+        cell.medium->note_interval_start(start);  // anchors the delivery-latency series
         cell.scheme->begin_interval(k, cell.arrivals, end);
         cell.sim.run_until(end);
         RTMAC_ASSERT(!cell.medium->busy(),
@@ -595,22 +549,26 @@ void Network::run_sharded_interval(IntervalIndex k, TimePoint start, TimePoint e
         cell.debts.on_interval_end(cell.delivered);
       }
     };
-    if (sh.pool != nullptr && sh.plan.groups.size() > 1) {
-      sh.futures.clear();
-      for (const auto& group : sh.plan.groups) {
-        sh.futures.push_back(sh.pool->submit([&run_group, &group] { run_group(group); }));
+    if (eng.pool != nullptr && eng.plan.groups.size() > 1) {
+      eng.futures.clear();
+      for (const auto& group : eng.plan.groups) {
+        eng.futures.push_back(eng.pool->submit([&run_group, &group] { run_group(group); }));
       }
-      sh.pool->wait_all(sh.futures);
-      for (auto& f : sh.futures) f.get();  // surface worker exceptions
+      eng.pool->wait_all(eng.futures);
+      for (auto& f : eng.futures) f.get();  // surface worker exceptions
     } else {
-      for (const auto& group : sh.plan.groups) run_group(group);
+      for (const auto& group : eng.plan.groups) run_group(group);
     }
   }
 
-  for (auto& cell : sh.cells) {
+  for (auto& cell : eng.cells) {
     for (std::size_t j = 0; j < cell->links.size(); ++j) {
       delivered_[cell->links[j]] = cell->delivered[j];
     }
+  }
+  if (tracer_ != nullptr) {
+    tracer_->record(end, sim::TraceKind::kIntervalEnd, sim::kNoLink,
+                    static_cast<std::int64_t>(k));
   }
 }
 
@@ -639,75 +597,39 @@ void Network::finish_interval(IntervalIndex k, TimePoint end) {
 
 // ---- accessors and facades --------------------------------------------------
 
-const phy::Medium& Network::medium() const {
-  RTMAC_REQUIRE(!sharded(), "medium(): sharded networks have per-cell media");
-  return *medium_;
-}
+std::size_t Network::cell_count() const { return engine_->cells.size(); }
 
-mac::MacScheme& Network::scheme() {
-  RTMAC_REQUIRE(!sharded(), "scheme(): sharded networks have per-cell schemes");
-  return *scheme_;
-}
-
-const mac::MacScheme& Network::scheme() const {
-  RTMAC_REQUIRE(!sharded(), "scheme(): sharded networks have per-cell schemes");
-  return *scheme_;
-}
-
-const sim::Simulator& Network::simulator() const {
-  RTMAC_REQUIRE(!sharded(), "simulator(): sharded networks have per-cell engines");
-  return sim_;
-}
-
-std::size_t Network::cell_count() const { return shard_ != nullptr ? shard_->cells.size() : 1; }
-
-std::size_t Network::group_count() const {
-  return shard_ != nullptr ? shard_->plan.groups.size() : 1;
-}
+std::size_t Network::group_count() const { return engine_->plan.groups.size(); }
 
 std::span<const LinkId> Network::cell_links(std::size_t cell) const {
-  if (shard_ == nullptr) {
-    RTMAC_REQUIRE(cell == 0);
-    return identity_links_;
-  }
-  return shard_->cells[cell]->links;
+  return engine_->cells[cell]->links;
 }
 
 const mac::MacScheme& Network::cell_scheme(std::size_t cell) const {
-  if (shard_ == nullptr) {
-    RTMAC_REQUIRE(cell == 0);
-    return *scheme_;
-  }
-  return *shard_->cells[cell]->scheme;
+  return *engine_->cells[cell]->scheme;
 }
 
 std::uint64_t Network::coordinator_rounds() const {
-  return (shard_ != nullptr && shard_->coordinator != nullptr) ? shard_->coordinator->rounds()
-                                                               : 0;
+  return engine_->coordinator != nullptr ? engine_->coordinator->rounds() : 0;
 }
 
-TimePoint Network::now() const {
-  return shard_ != nullptr ? shard_->cells.front()->sim.now() : sim_.now();
-}
+TimePoint Network::now() const { return engine_->cells.front()->sim.now(); }
 
 std::uint64_t Network::events_executed() const {
-  if (shard_ == nullptr) return sim_.events_executed();
   std::uint64_t total = 0;
-  for (const auto& cell : shard_->cells) total += cell->sim.events_executed();
+  for (const auto& cell : engine_->cells) total += cell->sim.events_executed();
   return total;
 }
 
 std::uint64_t Network::event_reallocs() const {
-  if (shard_ == nullptr) return sim_.event_reallocs();
   std::uint64_t total = 0;
-  for (const auto& cell : shard_->cells) total += cell->sim.event_reallocs();
+  for (const auto& cell : engine_->cells) total += cell->sim.event_reallocs();
   return total;
 }
 
 phy::MediumCounters Network::medium_counters() const {
-  if (shard_ == nullptr) return medium_->counters();
   phy::MediumCounters out;
-  for (const auto& cell : shard_->cells) {
+  for (const auto& cell : engine_->cells) {
     const phy::MediumCounters& c = cell->medium->counters();
     out.data_tx += c.data_tx;
     out.empty_tx += c.empty_tx;
@@ -721,40 +643,33 @@ phy::MediumCounters Network::medium_counters() const {
 }
 
 const phy::LinkCounters& Network::link_counters(LinkId link) const {
-  if (shard_ == nullptr) return medium_->link_counters(link);
-  const Shard& sh = *shard_;
-  return sh.cells[sh.plan.cell_of[link]]->medium->link_counters(sh.local_of[link]);
+  const Engine& eng = *engine_;
+  return eng.cells[eng.plan.cell_of[link]]->medium->link_counters(eng.local_of[link]);
 }
 
 Duration Network::global_sense_busy_time() const {
-  if (shard_ == nullptr) return medium_->sense_busy_time(phy::Medium::kAllNodes);
   Duration total;
-  for (const auto& cell : shard_->cells) {
+  for (const auto& cell : engine_->cells) {
     total += cell->medium->sense_busy_time(phy::Medium::kAllNodes);
   }
   return total;
 }
 
 Duration Network::node_sense_busy_time(LinkId node) const {
-  if (shard_ == nullptr) return medium_->sense_busy_time(node);
-  const Shard& sh = *shard_;
-  return sh.cells[sh.plan.cell_of[node]]->medium->sense_busy_time(sh.local_of[node]);
+  const Engine& eng = *engine_;
+  return eng.cells[eng.plan.cell_of[node]]->medium->sense_busy_time(eng.local_of[node]);
 }
 
 void Network::collision_row(LinkId link, std::vector<phy::PairCount>& out) const {
   out.clear();
-  if (shard_ == nullptr) {
-    medium_->collision_row(link, out);
-    return;
-  }
-  const Shard& sh = *shard_;
-  const Cell& cell = *sh.cells[sh.plan.cell_of[link]];
-  cell.medium->collision_row(sh.local_of[link], out);
+  const Engine& eng = *engine_;
+  const Cell& cell = *eng.cells[eng.plan.cell_of[link]];
+  cell.medium->collision_row(eng.local_of[link], out);
   // Cell links are ascending, so the local row maps to an ascending global
   // row; the cut partners are merged into it.
   for (phy::PairCount& pc : out) pc.other = cell.links[pc.other];
   const auto local_end = static_cast<std::ptrdiff_t>(out.size());
-  sh.cut->append_row(link, out);
+  eng.cut->append_row(link, out);
   std::inplace_merge(out.begin(), out.begin() + local_end, out.end(),
                      [](const phy::PairCount& x, const phy::PairCount& y) {
                        return x.other < y.other;
@@ -762,16 +677,11 @@ void Network::collision_row(LinkId link, std::vector<phy::PairCount>& out) const
 }
 
 const phy::Medium& Network::cell_medium(std::size_t cell) const {
-  if (shard_ == nullptr) {
-    RTMAC_REQUIRE(cell == 0);
-    return *medium_;
-  }
-  return *shard_->cells[cell]->medium;
+  return *engine_->cells[cell]->medium;
 }
 
 void Network::merge_cell_metrics_into(obs::MetricsRegistry& target) const {
-  if (shard_ == nullptr) return;
-  for (const auto& cell : shard_->cells) {
+  for (const auto& cell : engine_->cells) {
     if (cell->registry != nullptr) target.merge_from(*cell->registry);
   }
 }
@@ -781,13 +691,7 @@ Network::MemoryBreakdown Network::memory_breakdown() const {
   mb.arena_reserved = arena_.bytes_reserved();
   mb.arena_used = arena_.bytes_used();
   mb.arrivals = arrival_kernel_.memory_bytes();
-  if (shard_ == nullptr) {
-    mb.sim_events = sim_.event_memory_bytes();
-    if (medium_ != nullptr) mb.phy = medium_->memory_bytes();
-    if (scheme_ != nullptr) mb.mac = scheme_->memory_bytes();
-    return mb;
-  }
-  for (const auto& cell : shard_->cells) {
+  for (const auto& cell : engine_->cells) {
     mb.sim_events += cell->sim.event_memory_bytes();
     mb.phy += cell->medium->memory_bytes();
     mb.mac += cell->scheme->memory_bytes();

@@ -1,5 +1,6 @@
-// The experiment orchestrator: wires Simulator + Medium + traffic + one
-// MacScheme + debt/statistics, and drives the interval structure.
+// The experiment orchestrator: wires the engine cells (Simulator + Medium +
+// MacScheme each) + traffic + debt/statistics, and drives the interval
+// structure.
 //
 // Per interval k (paper Section II-B): at t = kT arrivals are sampled and
 // handed to the scheme; the scheme contends on the medium until (k+1)T;
@@ -7,17 +8,23 @@
 // the debt ledger (eq. 1), and records statistics. Undelivered packets are
 // dropped by the scheme (hard per-packet deadline = interval end).
 //
-// Execution engines (DESIGN §4i):
-//   * legacy (shards == 0, or a trivial partition): one Simulator + one
-//     Medium over the whole link set — the original single-domain path,
-//     byte-identical to every release before sharding existed;
-//   * sharded (shards >= 1 on a partitionable topology): the conflict graph
-//     is cut into cells (sim/shard_partitioner), each cell owns a full
-//     engine stack over its induced subgraph, and cells advance under the
-//     conservative window protocol of sim/sharded_simulator. Arrivals are
-//     sampled centrally in global link order and all RNG streams are keyed
-//     by global link ids, so results do not depend on the partition or on
-//     the worker count.
+// Execution (DESIGN §4i): every network runs as a plan of cells. The
+// conflict graph is cut into cells (sim/shard_partitioner); each cell owns
+// a full engine stack (Simulator + Medium + scheme + debt slice) over its
+// induced subgraph, and cells advance under the conservative window
+// protocol of sim/sharded_simulator. `shards == 0`, a network without a
+// topology, and every topology the partitioner keeps whole (the paper's
+// complete collision domain among them) run as ONE cell over all links,
+// whose results the golden figure CSVs (tests/golden/) pin. Arrivals are
+// sampled centrally in global link order and all RNG streams are keyed by
+// global link ids, so results do not depend on the partition or on the
+// worker count.
+//
+// The cell count changes behaviour in exactly three places: a one-cell plan
+// leaves its Medium out of shard mode (a complete graph keeps the Medium's
+// shared loss stream), writes medium/MAC instruments straight into the
+// attached registry, and accepts a custom channel model, a non-shardable
+// scheme (LDF) and a tracer — a plan with more cells refuses all three.
 #pragma once
 
 #include <functional>
@@ -30,7 +37,8 @@
 #include "net/arrival_kernel.hpp"
 #include "net/network_config.hpp"
 #include "phy/medium.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_partitioner.hpp"
+#include "sim/trace.hpp"
 #include "stats/link_stats.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
@@ -61,8 +69,8 @@ class Network {
 
   /// Attaches a protocol tracer to the whole stack (medium + MAC layers).
   /// Not owned; pass nullptr to detach. Interval boundaries are recorded by
-  /// the network itself. Tracing is a single-engine feature: attaching a
-  /// non-null tracer to a sharded network aborts.
+  /// the network itself. Tracing needs a one-cell network: attaching a
+  /// non-null tracer to a multi-cell plan aborts.
   void attach_tracer(sim::Tracer* tracer);
 
   /// Attaches a metrics registry to the whole stack (medium + MAC layers;
@@ -70,40 +78,32 @@ class Network {
   /// snapshots the debt vector and delivery counts into the registry at
   /// every interval boundary; derived end-of-run rates come from
   /// obs::collect_network_metrics. Zero overhead when detached (one null
-  /// check per interval). On the sharded path each cell writes its
-  /// medium/MAC instruments into a private registry (no cross-thread
-  /// sharing); merge_cell_metrics_into() folds them into an export target.
+  /// check per interval). A one-cell network writes its medium/MAC
+  /// instruments straight into `registry`; on a multi-cell plan each cell
+  /// writes into a private registry (no cross-thread sharing) and
+  /// merge_cell_metrics_into() folds them into an export target.
   void attach_metrics(obs::MetricsRegistry* registry);
 
   [[nodiscard]] const stats::LinkStatsCollector& stats() const { return stats_; }
-  /// Network-wide debt ledger, maintained on both engines (the sharded path
-  /// mirrors the per-cell trackers — per-link debt arithmetic is local, so
-  /// the mirror is exact).
+  /// Network-wide debt ledger. It mirrors the per-cell trackers — per-link
+  /// debt arithmetic is local, so the mirror is exact.
   [[nodiscard]] const core::DebtTracker& debts() const { return debts_; }
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
 
-  // ---- legacy-engine accessors (abort on the sharded path) -----------------
-  [[nodiscard]] const phy::Medium& medium() const;
-  [[nodiscard]] mac::MacScheme& scheme();
-  [[nodiscard]] const mac::MacScheme& scheme() const;
-  [[nodiscard]] const sim::Simulator& simulator() const;
-
-  // ---- sharding topology ---------------------------------------------------
-  /// True when this network runs the sharded engine.
-  [[nodiscard]] bool sharded() const { return shard_ != nullptr; }
-  /// Number of cells (1 on the legacy path).
+  // ---- cell plan ----------------------------------------------------------
+  /// Number of cells (1 unless the partition cut the topology).
   [[nodiscard]] std::size_t cell_count() const;
-  /// Number of parallel groups (1 on the legacy path).
+  /// Number of parallel groups.
   [[nodiscard]] std::size_t group_count() const;
-  /// Global link ids of one cell, ascending (legacy: all links).
+  /// Global link ids of one cell, ascending.
   [[nodiscard]] std::span<const LinkId> cell_links(std::size_t cell) const;
-  /// The MacScheme instance serving one cell (legacy: the single scheme).
+  /// The MacScheme instance serving one cell.
   [[nodiscard]] const mac::MacScheme& cell_scheme(std::size_t cell) const;
-  /// Coordinator barrier rounds so far (0 on the legacy path and on
-  /// cut-free plans, which skip the coordinator entirely).
+  /// Coordinator barrier rounds so far (0 on cut-free plans, which skip the
+  /// coordinator entirely).
   [[nodiscard]] std::uint64_t coordinator_rounds() const;
 
-  // ---- engine/medium facades (valid on both paths) -------------------------
+  // ---- engine/medium facades (summed or routed over cells) ----------------
   [[nodiscard]] TimePoint now() const;
   [[nodiscard]] std::uint64_t events_executed() const;  ///< summed over cells
   [[nodiscard]] std::uint64_t event_reallocs() const;   ///< summed over cells
@@ -111,12 +111,12 @@ class Network {
   [[nodiscard]] phy::MediumCounters medium_counters() const;
   /// Per-link accounting, addressed by GLOBAL link id.
   [[nodiscard]] const phy::LinkCounters& link_counters(LinkId link) const;
-  /// Global-view busy time. Sharded: the per-cell global views summed —
-  /// concurrent activity in different cells double-counts relative to the
-  /// legacy union (a documented approximation; CSV outputs never read it).
+  /// Global-view busy time: the per-cell global views summed — concurrent
+  /// activity in different cells double-counts relative to the union (a
+  /// documented approximation; CSV outputs never read it).
   [[nodiscard]] Duration global_sense_busy_time() const;
-  /// One node's carrier-sense busy time (GLOBAL id). Exact on both paths:
-  /// remote cut-edge activity is injected into the listening views.
+  /// One node's carrier-sense busy time (GLOBAL id). Exact: remote cut-edge
+  /// activity is injected into the listening views.
   [[nodiscard]] Duration node_sense_busy_time(LinkId node) const;
   /// One link's row of the pairwise collision ledger: `out` is replaced by
   /// every (other, count) with a nonzero count of collision events between
@@ -126,13 +126,13 @@ class Network {
   /// whole-network sweep is O(ledger size), not O(N²).
   void collision_row(LinkId link, std::vector<phy::PairCount>& out) const;
 
-  /// One cell's Medium (legacy: the single Medium). Read-only: engine-shape
+  /// One cell's Medium. Read-only: counters, topology and engine-shape
   /// diagnostics such as sense_closed() / interference_closed().
   [[nodiscard]] const phy::Medium& cell_medium(std::size_t cell) const;
 
   /// Folds every cell's private metrics registry into `target` (counters
-  /// add, gauges last-write-win, histograms/sketches merge). No-op on the
-  /// legacy path. Call exactly once per run, at collect time.
+  /// add, gauges last-write-win, histograms/sketches merge). No-op on a
+  /// one-cell network. Call exactly once per run, at collect time.
   void merge_cell_metrics_into(obs::MetricsRegistry& target) const;
 
   /// Per-subsystem byte accounting of the network's long-lived state
@@ -155,11 +155,10 @@ class Network {
  private:
   struct Cell;
   class CutState;
-  struct Shard;
+  struct Engine;
 
-  void build_shard(std::size_t target_shards, const mac::SchemeFactory& scheme_factory);
-  void run_legacy_interval(IntervalIndex k, TimePoint start, TimePoint end);
-  void run_sharded_interval(IntervalIndex k, TimePoint start, TimePoint end);
+  void build_engine(sim::ShardPlan plan, const mac::SchemeFactory& scheme_factory);
+  void run_interval(IntervalIndex k, TimePoint start, TimePoint end);
   void finish_interval(IntervalIndex k, TimePoint end);
 
   NetworkConfig config_;
@@ -167,15 +166,11 @@ class Network {
   /// tables; declared before the consumers so it outlives them (members
   /// destroy in reverse order).
   util::Arena arena_;
-  sim::Simulator sim_;  ///< legacy engine (idle when sharded)
-  std::unique_ptr<phy::Medium> medium_;
   core::DebtTracker debts_;
   stats::LinkStatsCollector stats_;
   Rng arrival_rng_;
   ArrivalKernel arrival_kernel_;  ///< central arrival sampling (non-joint runs)
-  std::unique_ptr<mac::MacScheme> scheme_;
-  std::unique_ptr<Shard> shard_;  ///< non-null iff the sharded engine runs
-  std::vector<LinkId> identity_links_;  ///< cell_links() result on legacy
+  std::unique_ptr<Engine> engine_;  ///< the plan and its cells; never null
   std::vector<IntervalObserver> observers_;
   sim::Tracer* tracer_ = nullptr;
   IntervalIndex next_interval_ = 0;

@@ -12,6 +12,10 @@ bool NetworkConfig::validate(std::string* error) const {
   };
   const std::size_t n = success_prob.size();
   if (n == 0) return fail("network has no links");
+  // Sizes first: the arrival branches below index requirements.lambda.
+  if (requirements.lambda.size() != n || requirements.rho.size() != n) {
+    return fail("requirements size != number of links");
+  }
   if (joint_arrivals != nullptr) {
     if (joint_arrivals->num_links() != n) return fail("joint arrivals size != number of links");
     const RateVector joint_mean = joint_arrivals->mean();
@@ -32,9 +36,6 @@ bool NetworkConfig::validate(std::string* error) const {
     }
   } else {
     return fail("no arrival specification (arrivals, uniform_arrivals, or joint_arrivals)");
-  }
-  if (requirements.lambda.size() != n || requirements.rho.size() != n) {
-    return fail("requirements size != number of links");
   }
   if (topology.has_value() && topology->num_links() != n) {
     return fail("interference topology size != number of links");
@@ -73,16 +74,6 @@ bool NetworkConfig::validate(std::string* error) const {
   return true;
 }
 
-std::size_t NetworkConfig::event_capacity_hint() const {
-  // Per-link per-interval transmission budget (>= 1 by validate()'s
-  // interval >= data_airtime rule), plus a couple of slots per link for the
-  // backoff expiry and completion event that can be pending simultaneously,
-  // plus fixed slack for harness events (interval boundaries, observers).
-  const auto per_link =
-      static_cast<std::size_t>(phy.transmissions_per_interval(interval_length)) + 2;
-  return num_links() * per_link + 16;
-}
-
 NetworkConfig NetworkConfig::clone() const {
   NetworkConfig copy;
   copy.interval_length = interval_length;
@@ -100,7 +91,6 @@ NetworkConfig NetworkConfig::clone() const {
   copy.shards = shards;
   copy.auto_shard = auto_shard;
   copy.shard_jobs = shard_jobs;
-  copy.adaptive_lookahead = adaptive_lookahead;
   return copy;
 }
 

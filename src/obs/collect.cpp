@@ -10,9 +10,8 @@
 namespace rtmac::obs {
 
 void collect_network_metrics(MetricsRegistry& registry, const net::Network& network) {
-  // All channel/engine reads go through the Network facades, which serve the
-  // legacy single-engine path directly and aggregate per-cell state (by
-  // global link id) on the sharded path.
+  // All channel/engine reads go through the Network facades, which
+  // aggregate per-cell state by global link id.
   const phy::MediumCounters counters = network.medium_counters();
   const auto& stats = network.stats();
   const double sim_seconds = network.now().seconds_f();
@@ -91,11 +90,11 @@ void collect_network_metrics(MetricsRegistry& registry, const net::Network& netw
   }
 
   // Per-cell medium/MAC instruments (busy-period histograms, access-delay
-  // sketches, ...) live in private registries on the sharded path; fold
-  // them in exactly once, here. No-op on the legacy path.
+  // sketches, ...) live in private registries on a multi-cell plan; fold
+  // them in exactly once, here. No-op on a one-cell network.
   network.merge_cell_metrics_into(registry);
 
-  if (network.sharded()) {
+  if (network.cell_count() > 1) {
     registry.gauge("net.cells").set(static_cast<double>(network.cell_count()));
     registry.gauge("net.groups").set(static_cast<double>(network.group_count()));
     registry.counter("sim.coordinator_rounds").inc(network.coordinator_rounds());
@@ -123,9 +122,9 @@ void collect_network_metrics(MetricsRegistry& registry, const net::Network& netw
   registry.gauge("net.intervals").set(static_cast<double>(stats.intervals()));
   registry.counter("sim.events_executed").inc(network.events_executed());
   registry.gauge("sim.virtual_seconds").set(sim_seconds);
-  // Event-storage growth after the NetworkConfig-derived reserve; 0 proves
+  // Event-storage growth after each cell's scheme-declared reserve; 0 proves
   // the engine ran the whole experiment without touching the allocator for
-  // its own bookkeeping (summed over cells on the sharded path).
+  // its own bookkeeping (summed over cells).
   registry.counter("engine.events.reallocs").inc(network.event_reallocs());
   // Contract-failure count (util/check.hpp). Almost always zero — a failure
   // aborts unless a test handler intervened — but exporting it means any run

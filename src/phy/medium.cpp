@@ -23,7 +23,7 @@ namespace {
 /// Stream id of link `global`'s private loss stream ("LOSS" + id). Partial
 /// topologies draw per-link so the sequence is independent of how
 /// transmissions on other links interleave — the property that makes
-/// sharded and single-engine runs bit-identical.
+/// multi-cell and one-cell runs bit-identical.
 std::uint64_t loss_stream_id(LinkId global) { return mix64(0x4c4f5353ULL, global); }
 
 }  // namespace

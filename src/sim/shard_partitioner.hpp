@@ -60,12 +60,15 @@ struct ShardPlan {
   /// Balanced greedily by link count; size <= requested shard count.
   std::vector<std::vector<std::uint32_t>> groups;
 
-  /// A trivial plan (one cell, nothing cut) — the caller should fall back
-  /// to the plain single-engine path.
+  /// A trivial plan: one cell, nothing cut — one engine serves every link.
   [[nodiscard]] bool trivial() const {
     return cells.size() <= 1 && cut_conflicts.empty() && cut_senses.empty();
   }
   [[nodiscard]] std::size_t num_links() const { return cell_of.size(); }
+
+  /// The trivial plan over links 0..num_links-1 (one cell, one group),
+  /// built without consulting any topology.
+  [[nodiscard]] static ShardPlan single_cell(std::size_t num_links);
 };
 
 /// Partitions a topology given its conflict relation (symmetric; self loops

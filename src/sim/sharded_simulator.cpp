@@ -33,13 +33,12 @@ ShardCoordinator::ShardCoordinator(std::vector<ShardCell*> cells,
                                    std::vector<std::vector<std::uint32_t>> cut_neighbors,
                                    CutListeners listeners,
                                    std::vector<std::vector<std::uint32_t>> groups,
-                                   ThreadPool* pool, bool adaptive_lookahead)
+                                   ThreadPool* pool)
     : cells_{std::move(cells)},
       cut_neighbors_{std::move(cut_neighbors)},
       listeners_{std::move(listeners)},
       groups_{std::move(groups)},
-      pool_{pool},
-      adaptive_{adaptive_lookahead} {
+      pool_{pool} {
   RTMAC_REQUIRE(!cells_.empty(), "coordinator needs at least one cell");
   RTMAC_REQUIRE(cut_neighbors_.size() == cells_.size(), "cut_neighbors size mismatch");
   RTMAC_REQUIRE(!listeners_.offsets.empty(), "listener index needs an offsets row");
@@ -82,11 +81,9 @@ void ShardCoordinator::advance_to(TimePoint horizon) {
       }
       // Activity bounds are probed AFTER the deliveries above: injections
       // schedule events, and a bound that ignored them could overshoot a
-      // neighbor's reaction to fresh remote activity. With adaptive
-      // lookahead off this degrades to the classic clock-based window.
+      // neighbor's reaction to fresh remote activity.
       for (std::size_t c = 0; c < cells_.size(); ++c) {
-        bound_snapshot_[c] =
-            adaptive_ ? cells_[c]->next_activity_bound() : clock_snapshot_[c];
+        bound_snapshot_[c] = cells_[c]->next_activity_bound();
         RTMAC_ASSERT(bound_snapshot_[c] >= clock_snapshot_[c],
                      "activity bound trails the cell clock");
       }

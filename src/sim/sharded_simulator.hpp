@@ -20,9 +20,8 @@
 //      Simulator bounded by a run limit = the earliest unresolvable
 //      cut completion (end > R_i); the clock stops there.
 //
-// A neighbor's activity bound is at least its clock; with adaptive
-// lookahead (the default) it is the neighbor's next pending event time.
-// That is exact, not heuristic: transmissions start only inside event
+// A neighbor's activity bound is its next pending event time (adaptive
+// lookahead). That is exact, not heuristic: transmissions start only inside event
 // callbacks at the engine's current clock, so a neighbor whose next event
 // is at time b cannot start a transmission before b, and every start
 // before its clock was already exported (exports happen at start) and
@@ -36,8 +35,8 @@
 // least the progress of the clock-based scheme — the cell with the minimum
 // clock c_min has R_i >= c_min, its earliest blocking completion lies
 // strictly beyond c_min, and its clock strictly advances. No deadlock, and
-// the adaptive round count is bounded above by the fixed-window round
-// count (each barrier reaches at least as far).
+// the round count is bounded above by that of a clock-based window (each
+// barrier reaches at least as far).
 //
 // Determinism: per-cell execution is single-threaded and schedule-free; the
 // barrier runs serially in canonical cell order; remote records are
@@ -124,13 +123,12 @@ class ShardCoordinator {
   /// cell i (these bound cell i's resolution window). `listeners` routes
   /// each fresh record to the cells that hear its link. `groups[g]` = cell
   /// indices run by worker g in the parallel phase. `pool` may be null for
-  /// serial execution; it is borrowed, not owned. `adaptive_lookahead`
-  /// selects next_activity_bound() (default) over bare clocks when
-  /// computing the per-round resolution bounds.
+  /// serial execution; it is borrowed, not owned. Per-round resolution
+  /// bounds come from the neighbors' next_activity_bound().
   ShardCoordinator(std::vector<ShardCell*> cells,
                    std::vector<std::vector<std::uint32_t>> cut_neighbors,
                    CutListeners listeners, std::vector<std::vector<std::uint32_t>> groups,
-                   ThreadPool* pool, bool adaptive_lookahead = true);
+                   ThreadPool* pool);
 
   /// Runs rounds until every cell's clock reaches `horizon`.
   void advance_to(TimePoint horizon);
@@ -145,7 +143,6 @@ class ShardCoordinator {
   CutListeners listeners_;
   std::vector<std::vector<std::uint32_t>> groups_;
   ThreadPool* pool_;
-  bool adaptive_;
   std::uint64_t rounds_ = 0;
   /// Parallel-phase task handles, reused every round (coordinating thread
   /// only).

@@ -55,10 +55,10 @@ TEST(ScenariosTest, FactoriesProduceNamedSchemes) {
   net::Network ldf{cfg.clone(), ldf_factory()};
   net::Network fcsma{cfg.clone(), fcsma_factory()};
   net::Network dcf{cfg.clone(), dcf_factory()};
-  EXPECT_EQ(dbdp.scheme().name(), "DB-DP");
-  EXPECT_EQ(ldf.scheme().name(), "LDF");
-  EXPECT_EQ(fcsma.scheme().name(), "FCSMA");
-  EXPECT_EQ(dcf.scheme().name(), "DCF");
+  EXPECT_EQ(dbdp.cell_scheme(0).name(), "DB-DP");
+  EXPECT_EQ(ldf.cell_scheme(0).name(), "LDF");
+  EXPECT_EQ(fcsma.cell_scheme(0).name(), "FCSMA");
+  EXPECT_EQ(dcf.cell_scheme(0).name(), "DCF");
 }
 
 TEST(RunnerTest, LinspaceEndpointsAndSpacing) {

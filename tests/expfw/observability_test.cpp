@@ -162,7 +162,7 @@ TEST(RunObserverTest, DisabledObserverIsANoOp) {
   observer.attach(network, "ignored");
   network.run(5);
   EXPECT_TRUE(observer.finish());
-  EXPECT_GT(network.simulator().events_executed(), 0u);
+  EXPECT_GT(network.events_executed(), 0u);
 }
 
 }  // namespace

@@ -31,14 +31,14 @@ TEST(IntegrationTest, DeliveriesNeverExceedArrivals) {
 TEST(IntegrationTest, DpIsCollisionFreeAtScale) {
   net::Network net{video_symmetric(0.55, 0.9, 12), expfw::dbdp_factory()};
   net.run(300);
-  EXPECT_EQ(net.medium().counters().collisions, 0u);
-  EXPECT_GT(net.medium().counters().data_tx, 1000u);
+  EXPECT_EQ(net.medium_counters().collisions, 0u);
+  EXPECT_GT(net.medium_counters().data_tx, 1000u);
 }
 
 TEST(IntegrationTest, FcsmaCollidesAtScale) {
   net::Network net{video_symmetric(0.55, 0.9, 12), expfw::fcsma_factory()};
   net.run(300);
-  EXPECT_GT(net.medium().counters().collisions, 0u);
+  EXPECT_GT(net.medium_counters().collisions, 0u);
 }
 
 TEST(IntegrationTest, FeasibleLoadDrivesDeficiencyToZero) {
@@ -47,7 +47,7 @@ TEST(IntegrationTest, FeasibleLoadDrivesDeficiencyToZero) {
   for (const auto& factory : {expfw::dbdp_factory(), expfw::ldf_factory()}) {
     net::Network net{video_symmetric(0.4, 0.9, 13), factory};
     net.run(800);
-    EXPECT_LT(net.total_deficiency(), 0.05) << net.scheme().name();
+    EXPECT_LT(net.total_deficiency(), 0.05) << net.cell_scheme(0).name();
   }
 }
 
@@ -56,7 +56,7 @@ TEST(IntegrationTest, InfeasibleLoadLeavesDeficiency) {
   for (const auto& factory : {expfw::dbdp_factory(), expfw::ldf_factory()}) {
     net::Network net{video_symmetric(0.8, 0.9, 13), factory};
     net.run(400);
-    EXPECT_GT(net.total_deficiency(), 1.0) << net.scheme().name();
+    EXPECT_GT(net.total_deficiency(), 1.0) << net.cell_scheme(0).name();
   }
 }
 
@@ -102,7 +102,7 @@ TEST(IntegrationTest, ControlProfileFeasibleAtPaperLoad) {
   for (const auto& factory : {expfw::dbdp_factory(), expfw::ldf_factory()}) {
     net::Network net{control_symmetric(0.7, 0.99, 16), factory};
     net.run(3000);
-    EXPECT_LT(net.total_deficiency(), 0.05) << net.scheme().name();
+    EXPECT_LT(net.total_deficiency(), 0.05) << net.cell_scheme(0).name();
   }
 }
 
@@ -154,10 +154,10 @@ TEST(IntegrationTest, ExtensionsComposeGeCorrelatedMultipair) {
       std::make_unique<traffic::CommonShockBurstyArrivals>(20, 0.35, 0.03);
   net::Network net{std::move(cfg), expfw::dbdp_multipair_factory(4)};
   net.run(800);
-  EXPECT_EQ(net.medium().counters().collisions, 0u);
+  EXPECT_EQ(net.medium_counters().collisions, 0u);
   EXPECT_LT(net.total_deficiency(), 0.5);
   // Claim overhead: at most 2 per pair per interval.
-  EXPECT_LE(net.medium().counters().empty_tx, 800u * 8u);
+  EXPECT_LE(net.medium_counters().empty_tx, 800u * 8u);
 }
 
 TEST(IntegrationTest, IdenticalSeedsAcrossSchemesShareArrivalSequence) {
@@ -182,8 +182,8 @@ TEST(IntegrationTest, IdenticalSeedsAcrossSchemesShareArrivalSequence) {
 TEST(IntegrationTest, BusyTimeNeverExceedsSimulatedTime) {
   net::Network net{video_symmetric(0.6, 0.9, 20), expfw::dbdp_factory()};
   net.run(200);
-  EXPECT_LE(net.medium().counters().busy_time.ns(),
-            (net.simulator().now() - TimePoint::origin()).ns());
+  EXPECT_LE(net.medium_counters().busy_time.ns(),
+            (net.now() - TimePoint::origin()).ns());
 }
 
 }  // namespace

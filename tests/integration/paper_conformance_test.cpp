@@ -166,7 +166,7 @@ TEST(PaperConformance, SectionIVC_AtMostTwoEmptyPacketsPerInterval) {
   net::Network net{std::move(cfg), expfw::dbdp_factory()};
   std::uint64_t prev_empty = 0;
   net.add_observer([&](IntervalIndex, std::span<const int>, std::span<const int>) {
-    const std::uint64_t now_empty = net.medium().counters().empty_tx;
+    const std::uint64_t now_empty = net.medium_counters().empty_tx;
     EXPECT_LE(now_empty - prev_empty, 2u);
     prev_empty = now_empty;
   });
@@ -270,7 +270,7 @@ TEST(PaperConformance, SectionVIB_DbdpLosesAtMostTwoTransmissionsToOverhead) {
   constexpr IntervalIndex kIntervals = 300;
   net.run(kIntervals);
   const double tx_per_interval =
-      static_cast<double>(net.medium().counters().data_tx) / kIntervals;
+      static_cast<double>(net.medium_counters().data_tx) / kIntervals;
   EXPECT_GE(tx_per_interval, 14.0);
   EXPECT_LE(tx_per_interval, 16.0);
 }

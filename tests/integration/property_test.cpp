@@ -56,7 +56,7 @@ TEST_P(StationaryLawTest, SimulatedChainMatchesAnalyticLaw) {
                                     traffic::BernoulliArrivals{0.3}, 0.5,
                                     static_cast<std::uint64_t>(seed));
   net::Network network{std::move(cfg), expfw::dp_fixed_mu_factory(mu)};
-  auto* dp = dynamic_cast<mac::DpScheme*>(&network.scheme());
+  auto* dp = dynamic_cast<const mac::DpScheme*>(&network.cell_scheme(0));
   ASSERT_NE(dp, nullptr);
 
   constexpr IntervalIndex kBurnIn = 2000;
@@ -87,7 +87,7 @@ TEST_P(SwapRateTest, EmpiricalSwapRateMatchesEquation9) {
                                     phy::PhyParams::control_80211a(), 0.9,
                                     traffic::ConstantArrivals{1}, 0.5, 424242);
   net::Network network{std::move(cfg), expfw::dp_fixed_mu_factory({mu_lo, mu_hi})};
-  auto* dp = dynamic_cast<mac::DpScheme*>(&network.scheme());
+  auto* dp = dynamic_cast<const mac::DpScheme*>(&network.cell_scheme(0));
   ASSERT_NE(dp, nullptr);
 
   // Count transitions out of each of the two states.

@@ -156,11 +156,11 @@ RunRecord run_dbdp(const net::NetworkConfig& base, bool force_scalar,
   });
   net.run(intervals);
   rec.final_debts = net.debts().debts();
-  const auto* dp = dynamic_cast<const DpScheme*>(&net.scheme());
+  const auto* dp = dynamic_cast<const DpScheme*>(&net.cell_scheme(0));
   EXPECT_NE(dp, nullptr);
   rec.final_priorities = dp->priority_vector();
   rec.batch_path = dp->batch_path();
-  rec.counters = net.medium().counters();
+  rec.counters = net.medium_counters();
   return rec;
 }
 
@@ -226,7 +226,7 @@ TEST(DpBatchEquivalenceTest, PartialSensingFallsBackToScalar) {
   cfg.topology = phy::InterferenceGraph::from_lists(n, ring, ring);
   net::Network net{std::move(cfg), dbdp_path_factory(/*force_scalar=*/false)};
   net.run(20);
-  const auto* dp = dynamic_cast<const DpScheme*>(&net.scheme());
+  const auto* dp = dynamic_cast<const DpScheme*>(&net.cell_scheme(0));
   ASSERT_NE(dp, nullptr);
   EXPECT_FALSE(dp->batch_path());
 }

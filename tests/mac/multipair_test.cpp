@@ -203,7 +203,7 @@ TEST(MultiPairDpTest, StationaryLawUnchangedByMultiPairDynamics) {
                                     phy::PhyParams::control_80211a(), 0.9,
                                     traffic::BernoulliArrivals{0.3}, 0.5, 31337);
   net::Network network{std::move(cfg), expfw::dp_fixed_mu_factory(mu, /*pairs=*/2)};
-  auto* dp = dynamic_cast<DpScheme*>(&network.scheme());
+  auto* dp = dynamic_cast<const DpScheme*>(&network.cell_scheme(0));
   ASSERT_NE(dp, nullptr);
   network.run(2000);
   std::vector<double> counts(24, 0.0);

@@ -67,12 +67,12 @@ TEST(EstimatedDbdpTest, LinksLearnTheirOwnChannels) {
   }
   net::Network net{std::move(cfg), expfw::dbdp_estimated_p_factory()};
   net.run(1500);
-  auto* dp = dynamic_cast<DpScheme*>(&net.scheme());
+  auto* dp = dynamic_cast<const DpScheme*>(&net.cell_scheme(0));
   ASSERT_NE(dp, nullptr);
   // Reach the estimator through the provider the factory installed: easiest
   // is to re-derive the estimates from per-link medium counters instead.
   for (LinkId n = 0; n < 4; ++n) {
-    const auto& lc = net.medium().link_counters(n);
+    const auto& lc = net.link_counters(n);
     ASSERT_GT(lc.data_tx, 100u);
     const double empirical = static_cast<double>(lc.delivered) /
                              static_cast<double>(lc.data_tx);
@@ -95,7 +95,7 @@ TEST(EstimatedDbdpTest, LearnedPMatchesOracleFulfilment) {
 TEST(EstimatedDbdpTest, CollisionFreeWithEstimation) {
   net::Network net{expfw::video_symmetric(0.5, 0.9, 78), expfw::dbdp_estimated_p_factory()};
   net.run(300);
-  EXPECT_EQ(net.medium().counters().collisions, 0u);
+  EXPECT_EQ(net.medium_counters().collisions, 0u);
 }
 
 }  // namespace

@@ -63,10 +63,10 @@ RunRecord run_scheme(const net::NetworkConfig& base, const SchemeFactory& factor
   });
   net.run(intervals);
   rec.final_debts = net.debts().debts();
-  const auto* scheme = dynamic_cast<const Scheme*>(&net.scheme());
+  const auto* scheme = dynamic_cast<const Scheme*>(&net.cell_scheme(0));
   EXPECT_NE(scheme, nullptr);
   rec.batch_path = scheme->batch_path();
-  rec.counters = net.medium().counters();
+  rec.counters = net.medium_counters();
   return rec;
 }
 
@@ -144,7 +144,7 @@ TEST(SharedBackoffClockTest, PartialSensingFallsBackToScalar) {
   cfg.topology = phy::InterferenceGraph::from_lists(n, ring, ring);
   net::Network net{std::move(cfg), dcf_path_factory(/*force_scalar=*/false)};
   net.run(20);
-  const auto* dcf = dynamic_cast<const DcfScheme*>(&net.scheme());
+  const auto* dcf = dynamic_cast<const DcfScheme*>(&net.cell_scheme(0));
   ASSERT_NE(dcf, nullptr);
   EXPECT_FALSE(dcf->batch_path());
 }
@@ -154,9 +154,9 @@ TEST(SharedBackoffClockTest, BatchPathDeclaresTighterEventBound) {
   // regressing to the conservative bound would silently re-inflate the
   // 10^6-link memory footprint (the phase-3 RSS ceiling in bench/city_scale).
   net::Network net{expfw::video_symmetric(0.55, 0.9, 2), dcf_path_factory(false)};
-  EXPECT_EQ(net.scheme().pending_events_per_link(), 1u);
+  EXPECT_EQ(net.cell_scheme(0).pending_events_per_link(), 1u);
   net::Network scalar_net{expfw::video_symmetric(0.55, 0.9, 2), dcf_path_factory(true)};
-  EXPECT_EQ(scalar_net.scheme().pending_events_per_link(), 6u);
+  EXPECT_EQ(scalar_net.cell_scheme(0).pending_events_per_link(), 6u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "expfw/scenarios.hpp"
 #include "net/network_config.hpp"
 #include "traffic/arrival_process.hpp"
+#include "traffic/joint_arrivals.hpp"
 
 namespace rtmac::net {
 namespace {
@@ -27,6 +28,24 @@ TEST(NetworkConfigTest, RejectsSizeMismatch) {
   std::string error;
   EXPECT_FALSE(cfg.validate(&error));
   EXPECT_FALSE(error.empty());
+
+  // A short lambda must be refused before any arrival branch indexes it
+  // (heap-buffer-overflow under ASan otherwise): uniform arrivals...
+  auto uniform = small_config();
+  ASSERT_NE(uniform.uniform_arrivals, nullptr);
+  uniform.requirements.lambda.resize(1);
+  error.clear();
+  EXPECT_FALSE(uniform.validate(&error));
+  EXPECT_NE(error.find("requirements size"), std::string::npos) << error;
+
+  // ...and joint arrivals.
+  auto joint = small_config();
+  joint.uniform_arrivals.reset();
+  joint.joint_arrivals = std::make_unique<traffic::CommonShockBurstyArrivals>(4, 0.4, 0.1);
+  joint.requirements.lambda.resize(1);
+  error.clear();
+  EXPECT_FALSE(joint.validate(&error));
+  EXPECT_NE(error.find("requirements size"), std::string::npos) << error;
 }
 
 TEST(NetworkConfigTest, RejectsLambdaMismatch) {
@@ -83,7 +102,7 @@ TEST(NetworkTest, RunIsResumable) {
   net.run(5);
   net.run(5);
   EXPECT_EQ(net.stats().intervals(), 10u);
-  EXPECT_EQ(net.simulator().now(), TimePoint::origin() + 10 * Duration::milliseconds(20));
+  EXPECT_EQ(net.now(), TimePoint::origin() + 10 * Duration::milliseconds(20));
 }
 
 TEST(NetworkTest, ObserverSeesEveryInterval) {
@@ -108,7 +127,7 @@ TEST(NetworkTest, DeterministicReplayUnderSameSeed) {
   for (LinkId n = 0; n < 4; ++n) {
     EXPECT_EQ(a.stats().total_delivered(n), b.stats().total_delivered(n));
   }
-  EXPECT_EQ(a.medium().counters().data_tx, b.medium().counters().data_tx);
+  EXPECT_EQ(a.medium_counters().data_tx, b.medium_counters().data_tx);
 }
 
 TEST(NetworkTest, DifferentSeedsDiverge) {
@@ -116,7 +135,7 @@ TEST(NetworkTest, DifferentSeedsDiverge) {
   Network b{small_config(0.7, 2), expfw::dbdp_factory()};
   a.run(100);
   b.run(100);
-  EXPECT_NE(a.medium().counters().channel_losses, b.medium().counters().channel_losses);
+  EXPECT_NE(a.medium_counters().channel_losses, b.medium_counters().channel_losses);
 }
 
 TEST(NetworkTest, OverloadedNetworkAccumulatesDeficiency) {
@@ -133,7 +152,7 @@ TEST(NetworkTest, OverloadedNetworkAccumulatesDeficiency) {
 
 TEST(NetworkTest, SchemeNameExposed) {
   Network net{small_config(), expfw::dbdp_factory()};
-  EXPECT_EQ(net.scheme().name(), "DB-DP");
+  EXPECT_EQ(net.cell_scheme(0).name(), "DB-DP");
 }
 
 }  // namespace

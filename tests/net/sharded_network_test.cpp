@@ -1,8 +1,9 @@
-// Sharded-engine equivalence tests (DESIGN §4i): on partitionable
-// topologies the sharded Network must reproduce the legacy single-engine
-// run exactly — same per-interval deliveries, same debts, same channel
-// accounting, same collision ledger — for any shard count, because every
-// RNG stream is keyed by global link id and cut resolution is exact.
+// Cell-plan equivalence tests (DESIGN §4i): on partitionable topologies a
+// multi-cell Network must reproduce the one-cell run exactly — same
+// per-interval deliveries, same debts, same channel accounting, same
+// collision ledger — for any shard count, because every RNG stream is keyed
+// by global link id and cut resolution is exact. A one-cell network also
+// keeps what only it can serve: custom channels, LDF and tracing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,11 +18,13 @@
 #include "mac/dcf_mac.hpp"
 #include "mac/dp_link_mac.hpp"
 #include "mac/fcsma_mac.hpp"
+#include "phy/channel_model.hpp"
 #include "net/network.hpp"
 #include "net/network_config.hpp"
 #include "obs/collect.hpp"
 #include "obs/metrics.hpp"
 #include "phy/interference.hpp"
+#include "sim/trace.hpp"
 #include "traffic/arrival_process.hpp"
 #include "util/check.hpp"
 
@@ -99,17 +102,17 @@ RunRecord run_network(NetworkConfig config, const mac::SchemeFactory& factory,
   rec.channel_losses = counters.channel_losses;
 
   // End-of-run metric export via the facades (exercises per-cell registry
-  // merging on the sharded path); JSONL is name-ordered and deterministic.
+  // merging on multi-cell plans); JSONL is name-ordered and deterministic.
   // Engine-shape metrics (cell/group counts, event totals) legitimately
-  // depend on which engine ran, so they are stripped before comparing.
+  // depend on the partition, so they are stripped before comparing.
   obs::collect_network_metrics(registry, network);
   std::ostringstream jsonl;
   registry.write_jsonl(jsonl);
   std::istringstream lines{jsonl.str()};
   for (std::string line; std::getline(lines, line);) {
-    // The busy-window metrics are the one semantic difference: legacy
+    // The busy-window metrics are the one semantic difference: one cell
     // reports the union busy time/periods of the single global channel;
-    // per-cell media report each collision domain's own windows, and
+    // several cell media report each collision domain's own windows, and
     // simultaneous windows of independent domains cannot be re-unioned
     // from aggregate durations.
     static constexpr const char* kEngineShape[] = {
@@ -118,9 +121,9 @@ RunRecord run_network(NetworkConfig config, const mac::SchemeFactory& factory,
         "engine.events.reallocs", "phy.busy_fraction",
         "phy.busy_period_us",
         // Arena layout (and hence byte accounting) legitimately differs
-        // between the legacy and per-cell engines, and the DP batch path is
-        // an engine-shape property: clique cells keep complete sensing and
-        // take it even when the legacy global view cannot. The freeze
+        // between one cell and several, and the DP batch path is an
+        // engine-shape property: clique cells keep complete sensing and
+        // take it even when one cell's global view cannot. The freeze
         // diagnostics follow the path (scalar records exact per-link freeze
         // spans; the batch kernel broadcasts the domain-wide span).
         "mem.", "mac.dp.batch_path",
@@ -158,17 +161,26 @@ NetworkConfig cells_config(std::uint64_t seed, std::size_t shards,
 
 // ---- engine selection -------------------------------------------------------
 
-TEST(ShardedNetworkTest, CompleteTopologyFallsBackToTheLegacyEngine) {
+TEST(ShardedNetworkTest, CompleteTopologyRunsAsOneCell) {
   auto cfg = expfw::control_symmetric(0.8, 0.99, 7);
+  cfg.topology = phy::InterferenceGraph::complete(cfg.num_links());
   cfg.shards = 4;  // complete graph -> one clique cell -> trivial plan
+  const std::size_t n = cfg.num_links();
   Network network{std::move(cfg), expfw::dcf_factory()};
-  EXPECT_FALSE(network.sharded());
-  EXPECT_EQ(network.cell_count(), 1U);
+  ASSERT_EQ(network.cell_count(), 1U);
+  EXPECT_EQ(network.group_count(), 1U);
+  ASSERT_EQ(network.cell_links(0).size(), n);
+  for (LinkId l = 0; l < n; ++l) EXPECT_EQ(network.cell_links(0)[l], l);
+  // One cell stays out of shard mode: complete sensing, bursts available.
+  EXPECT_TRUE(network.cell_medium(0).sense_closed());
+  EXPECT_TRUE(network.cell_medium(0).burst_available());
+  network.run(5);
+  EXPECT_EQ(network.coordinator_rounds(), 0U);
+  EXPECT_EQ(network.now(), TimePoint::origin() + 5 * network.config().interval_length);
 }
 
 TEST(ShardedNetworkTest, DisconnectedCellsShardIntoOneEnginePerCell) {
   Network network{cells_config(11, /*shards=*/3), expfw::dcf_factory()};
-  ASSERT_TRUE(network.sharded());
   EXPECT_EQ(network.cell_count(), 3U);
   EXPECT_EQ(network.group_count(), 3U);
   EXPECT_EQ(network.coordinator_rounds(), 0U);  // no cuts -> no coordinator
@@ -180,12 +192,12 @@ TEST(ShardedNetworkTest, DisconnectedCellsShardIntoOneEnginePerCell) {
 
 // ---- byte-identical results across engines and shard counts -----------------
 
-TEST(ShardedNetworkTest, ShardedRunMatchesLegacyOnDisconnectedCells) {
+TEST(ShardedNetworkTest, ShardedRunMatchesOneCellOnDisconnectedCells) {
   for (const SchemeCase& c : all_schemes()) {
-    const auto legacy = run_network(cells_config(21, /*shards=*/0), c.factory);
+    const auto one_cell = run_network(cells_config(21, /*shards=*/0), c.factory);
     const auto sharded = run_network(cells_config(21, /*shards=*/3), c.factory);
-    expect_same_run(legacy, sharded, c.name);
-    EXPECT_GT(legacy.delivered, 0U) << c.name;
+    expect_same_run(one_cell, sharded, c.name);
+    EXPECT_GT(one_cell.delivered, 0U) << c.name;
   }
 }
 
@@ -264,24 +276,23 @@ TEST(ShardedNetworkTest, HiddenCutPairIsAConflictCutWithoutSensing) {
   EXPECT_FALSE(g.conflicts(1, 3));
 
   Network network{hidden_cut_config(42, /*shards=*/2), expfw::dcf_factory()};
-  ASSERT_TRUE(network.sharded());
-  EXPECT_EQ(network.cell_count(), 2U);
+  ASSERT_EQ(network.cell_count(), 2U);
   EXPECT_EQ(network.cell_links(0).size(), 2U);
   network.run(3);
   EXPECT_GT(network.coordinator_rounds(), 0U);  // the cut engages the coordinator
 }
 
-TEST(ShardedNetworkTest, CrossShardHiddenTerminalLedgerMatchesTheLegacyEngine) {
-  // shards=1 keeps the union-connected 4-link graph in one cell -> trivial
-  // plan -> legacy engine; shards=2 puts the hidden pair on the cut. The
-  // collision ledgers (and everything else) must agree exactly, and the
-  // hidden pair must actually collide or the test proves nothing.
-  const auto legacy = run_network(hidden_cut_config(42, /*shards=*/1), expfw::dcf_factory());
+TEST(ShardedNetworkTest, CrossShardHiddenTerminalLedgerMatchesTheOneCellRun) {
+  // shards=1 keeps the union-connected 4-link graph in one cell; shards=2
+  // puts the hidden pair on the cut. The collision ledgers (and everything
+  // else) must agree exactly, and the hidden pair must actually collide or
+  // the test proves nothing.
+  const auto one_cell = run_network(hidden_cut_config(42, /*shards=*/1), expfw::dcf_factory());
   const auto sharded = run_network(hidden_cut_config(42, /*shards=*/2), expfw::dcf_factory());
-  expect_same_run(legacy, sharded, "hidden-cut");
+  expect_same_run(one_cell, sharded, "hidden-cut");
   const std::size_t n = 4;
-  EXPECT_GT(legacy.pair_counts[1 * n + 2], 0U) << "hidden pair never collided";
-  EXPECT_EQ(legacy.pair_counts[1 * n + 2], sharded.pair_counts[2 * n + 1]);
+  EXPECT_GT(one_cell.pair_counts[1 * n + 2], 0U) << "hidden pair never collided";
+  EXPECT_EQ(one_cell.pair_counts[1 * n + 2], sharded.pair_counts[2 * n + 1]);
 }
 
 // ---- conflict-cut cells: sense-closed batch paths ---------------------------
@@ -303,7 +314,7 @@ constexpr std::size_t kChainCellSize = 8;
 
 /// A chain of 4 carrier-sense cliques of 8 links, neighbors coupled by one
 /// conflict-only (hidden-terminal) pair. `shards == 0` runs the dense form
-/// on the legacy engine; otherwise the sparse form goes to the sharded one.
+/// as one cell; otherwise the sparse form is partitioned.
 NetworkConfig chain_config(std::uint64_t seed, std::size_t shards, std::size_t jobs = 1) {
   auto cfg = net::symmetric_network(kChainCells * kChainCellSize, Duration::milliseconds(2),
                                     phy::PhyParams::control_80211a(), 0.7,
@@ -333,38 +344,40 @@ NetworkConfig sensed_cut_config(std::uint64_t seed, std::size_t shards, std::siz
   return cfg;
 }
 
-TEST(ShardedNetworkTest, ConflictCutRunsMatchLegacyAcrossShardsAndJobs) {
+TEST(ShardedNetworkTest, ConflictCutRunsMatchOneCellAcrossShardsAndJobs) {
   // Every scheme, on a hidden-terminal cut of two cliques (several seeds)
-  // and on a chain of four: legacy engine vs shards 2/4 x shard_jobs 1/2.
-  // The sharded clique cells run the batch paths the legacy engine's
-  // partial global view cannot, so this is the batch-vs-scalar equivalence
-  // under cut conflicts.
+  // and on a chain of four: one cell vs shards 2/4 x shard_jobs 1/2. The
+  // clique cells run the batch paths the one cell's partial global view
+  // cannot, so this is the batch-vs-scalar equivalence under cut
+  // conflicts — and, through the coordinator's next-event lookahead, the
+  // proof that the adaptive window bound is exact.
   for (const SchemeCase& c : all_schemes()) {
     for (const std::uint64_t seed : {42ULL, 7ULL, 1001ULL}) {
-      const auto legacy = run_network(hidden_cut_config(seed, /*shards=*/0), c.factory);
-      EXPECT_GT(legacy.pair_counts[1 * 4 + 2], 0U) << c.name << ": hidden pair never collided";
+      const auto one_cell = run_network(hidden_cut_config(seed, /*shards=*/0), c.factory);
+      EXPECT_GT(one_cell.pair_counts[1 * 4 + 2], 0U) << c.name << ": hidden pair never collided";
       for (const std::size_t shards : {2UL, 4UL}) {
         for (const std::size_t jobs : {1UL, 2UL}) {
           auto cfg = hidden_cut_config(seed, shards);
           cfg.shard_jobs = jobs;
-          expect_same_run(legacy, run_network(std::move(cfg), c.factory),
+          expect_same_run(one_cell, run_network(std::move(cfg), c.factory),
                           std::string{c.name} + " hidden-cut seed " + std::to_string(seed) +
                               " shards " + std::to_string(shards) + " jobs " +
                               std::to_string(jobs));
         }
       }
     }
-    const auto legacy = run_network(chain_config(5, /*shards=*/0), c.factory);
+    const auto one_cell = run_network(chain_config(5, /*shards=*/0), c.factory);
     // DB-DP's chain rarely overlaps a hidden pair (the pair's two links sit
     // at opposite ends of their cells' priority orders); the contention
     // schemes must collide across the cut or the comparison proves little.
     if (std::string{c.name} != "DB-DP") {
       constexpr std::size_t kLinks = kChainCells * kChainCellSize;
-      EXPECT_GT(legacy.pair_counts[(kChainCellSize - 1) * kLinks + kChainCellSize], 0U) << c.name;
+      EXPECT_GT(one_cell.pair_counts[(kChainCellSize - 1) * kLinks + kChainCellSize], 0U)
+          << c.name;
     }
     for (const std::size_t shards : {2UL, 4UL}) {
       for (const std::size_t jobs : {1UL, 2UL}) {
-        expect_same_run(legacy, run_network(chain_config(5, shards, jobs), c.factory),
+        expect_same_run(one_cell, run_network(chain_config(5, shards, jobs), c.factory),
                         std::string{c.name} + " chain shards " + std::to_string(shards) +
                             " jobs " + std::to_string(jobs));
       }
@@ -375,7 +388,6 @@ TEST(ShardedNetworkTest, ConflictCutRunsMatchLegacyAcrossShardsAndJobs) {
 TEST(ShardedNetworkTest, ConflictCutCliqueCellsTakeTheBatchPathAndRefuseBursts) {
   for (const SchemeCase& c : all_schemes()) {
     Network network{chain_config(3, /*shards=*/kChainCells), c.factory};
-    ASSERT_TRUE(network.sharded());
     ASSERT_EQ(network.cell_count(), kChainCells);
     for (std::size_t ci = 0; ci < network.cell_count(); ++ci) {
       const phy::Medium& medium = network.cell_medium(ci);
@@ -389,7 +401,7 @@ TEST(ShardedNetworkTest, ConflictCutCliqueCellsTakeTheBatchPathAndRefuseBursts) 
   }
   // Cut-free clique cells are interference-closed: bursts stay available.
   Network cut_free{cells_config(3, /*shards=*/3), expfw::dbdp_factory()};
-  ASSERT_TRUE(cut_free.sharded());
+  ASSERT_EQ(cut_free.cell_count(), 3U);
   for (std::size_t ci = 0; ci < cut_free.cell_count(); ++ci) {
     EXPECT_TRUE(cut_free.cell_medium(ci).interference_closed()) << "cell " << ci;
     EXPECT_TRUE(cut_free.cell_medium(ci).burst_available()) << "cell " << ci;
@@ -399,7 +411,6 @@ TEST(ShardedNetworkTest, ConflictCutCliqueCellsTakeTheBatchPathAndRefuseBursts) 
 TEST(ShardedNetworkTest, CellWithARemoteListenerNeverKeepsCompleteSensing) {
   for (const SchemeCase& c : all_schemes()) {
     Network network{sensed_cut_config(9, /*shards=*/2), c.factory};
-    ASSERT_TRUE(network.sharded());
     ASSERT_EQ(network.cell_count(), 2U);
     ASSERT_EQ(network.cell_links(0)[0], 0U);
     ASSERT_EQ(network.cell_links(1)[0], 2U);
@@ -412,7 +423,7 @@ TEST(ShardedNetworkTest, CellWithARemoteListenerNeverKeepsCompleteSensing) {
     EXPECT_FALSE(network.cell_medium(0).interference_closed()) << c.name;
     EXPECT_TRUE(cell_batch_path(network, 0)) << c.name;
 
-    // Worker-count independence. (Equality with the legacy engine is not
+    // Worker-count independence. (Equality with the one-cell run is not
     // asserted on sense cuts: a listener cell's run limit bounds only its
     // cut-conflict completions, so its backoff can run past remote activity
     // it has not been handed yet — DESIGN §4i.)
@@ -423,8 +434,8 @@ TEST(ShardedNetworkTest, CellWithARemoteListenerNeverKeepsCompleteSensing) {
 }
 
 TEST(ShardedNetworkTest, DbdpMemoryIsAccountedAndGrowsWithTheCellCount) {
-  const Network legacy{cells_config(9, /*shards=*/0), expfw::dbdp_factory()};
-  EXPECT_GT(legacy.memory_breakdown().mac, 0U);
+  const Network one_cell{cells_config(9, /*shards=*/0), expfw::dbdp_factory()};
+  EXPECT_GT(one_cell.memory_breakdown().mac, 0U);
   const Network three{cells_config(9, /*shards=*/3, /*num_links=*/12), expfw::dbdp_factory()};
   const Network six{cells_config(9, /*shards=*/6, /*num_links=*/24), expfw::dbdp_factory()};
   ASSERT_EQ(three.cell_count(), 3U);
@@ -435,13 +446,56 @@ TEST(ShardedNetworkTest, DbdpMemoryIsAccountedAndGrowsWithTheCellCount) {
 
 // ---- guard rails ------------------------------------------------------------
 
-TEST(ShardedNetworkTest, LegacyAccessorsAbortOnShardedNetworks) {
+TEST(ShardedNetworkTest, OneCellNetworkRunsLdfACustomChannelAndATracer) {
+  // What only a one-cell network can serve: a non-shardable scheme, a
+  // custom loss model and protocol tracing, all at once.
+  const phy::GilbertElliottParams gep{.p_good = 0.9, .p_bad = 0.2, .good_to_bad = 0.05,
+                                      .bad_to_good = 0.15};
+  auto cfg = net::symmetric_network(6, Duration::milliseconds(20),
+                                    phy::PhyParams::video_80211a(), gep.mean_success(),
+                                    traffic::UniformBurstyArrivals{0.3}, 0.9, 8);
+  cfg.channel_factory = [gep] {
+    return std::make_unique<phy::GilbertElliottChannel>(
+        std::vector<phy::GilbertElliottParams>(6, gep));
+  };
+  Network network{std::move(cfg), expfw::ldf_factory()};
+  ASSERT_EQ(network.cell_count(), 1U);
+  EXPECT_EQ(network.cell_scheme(0).name(), "LDF");
+  EXPECT_FALSE(network.cell_scheme(0).shardable());
+  EXPECT_GT(network.cell_medium(0).success_prob(0), gep.p_bad);
+  sim::Tracer tracer;
+  network.attach_tracer(&tracer);
+  network.run(20);
+  network.attach_tracer(nullptr);
+  const auto is_kind = [](sim::TraceKind kind) {
+    return [kind](const sim::TraceEvent& e) { return e.kind == kind; };
+  };
+  const auto& events = tracer.events();
+  EXPECT_EQ(std::count_if(events.begin(), events.end(), is_kind(sim::TraceKind::kIntervalStart)),
+            20);
+  EXPECT_EQ(std::count_if(events.begin(), events.end(), is_kind(sim::TraceKind::kIntervalEnd)),
+            20);
+  EXPECT_GT(events.size(), 40U) << "no medium/MAC events reached the tracer";
+  EXPECT_GT(network.medium_counters().delivered, 0U);
+  EXPECT_GT(network.medium_counters().channel_losses, 0U);
+}
+
+TEST(ShardedNetworkTest, MultiCellPlanRefusesATracerAndANonShardableScheme) {
   if (!kChecksEnabled) GTEST_SKIP() << "contract checks compiled out";
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   Network network{cells_config(5, /*shards=*/2), expfw::dcf_factory()};
-  ASSERT_TRUE(network.sharded());
-  EXPECT_DEATH((void)network.medium(), "per-cell");
-  EXPECT_DEATH((void)network.simulator(), "per-cell");
+  ASSERT_GT(network.cell_count(), 1U);
+  sim::Tracer tracer;
+  EXPECT_DEATH(network.attach_tracer(&tracer), "one-cell network");
+  network.attach_tracer(nullptr);  // detaching stays legal
+  EXPECT_DEATH((Network{cells_config(5, /*shards=*/2), expfw::ldf_factory()}),
+               "multi-cell plan");
+  // A custom channel never reaches a plan: validation refuses it with shards.
+  auto cfg = cells_config(5, /*shards=*/2);
+  cfg.channel_factory = [] { return std::unique_ptr<phy::ChannelModel>{}; };
+  std::string error;
+  EXPECT_FALSE(cfg.validate(&error));
+  EXPECT_NE(error.find("default Bernoulli channel"), std::string::npos) << error;
 }
 
 TEST(ShardedNetworkTest, ValidationRejectsSparseWithoutShardsAndCustomChannels) {

@@ -36,25 +36,25 @@ TEST(TopologyNetworkTest, CloneCarriesTheTopology) {
 
 TEST(TopologyNetworkTest, NetworkWithoutTopologyUsesCompleteGraph) {
   Network network{control_symmetric(0.8, 0.99, 7), expfw::dbdp_factory()};
-  EXPECT_TRUE(network.medium().topology().is_complete());
+  EXPECT_TRUE(network.cell_medium(0).topology().is_complete());
   network.run(50);
   // The paper's invariant: DP never collides under complete sensing.
-  EXPECT_EQ(network.medium().counters().collisions, 0u);
+  EXPECT_EQ(network.medium_counters().collisions, 0u);
 }
 
 TEST(TopologyNetworkTest, DbDpCollidesUnderHiddenCells) {
   Network network{
       with_topology(control_symmetric(0.8, 0.99, 7), hidden_cells_topology(10, 5)),
       expfw::dbdp_factory()};
-  EXPECT_FALSE(network.medium().topology().complete_sensing());
+  EXPECT_FALSE(network.cell_medium(0).topology().complete_sensing());
   network.run(50);
   // Cross-cell countdowns cannot synchronize: collisions are now a genuine
   // outcome, with at least one cross-cell partner pair in the ledger.
-  EXPECT_GT(network.medium().counters().collisions, 0u);
+  EXPECT_GT(network.medium_counters().collisions, 0u);
   std::uint64_t cross_cell_pairs = 0;
   for (LinkId a = 0; a < 10; ++a) {
     for (LinkId b = 0; b < 10; ++b) {
-      if (a / 5 != b / 5) cross_cell_pairs += network.medium().collision_pair_count(a, b);
+      if (a / 5 != b / 5) cross_cell_pairs += network.cell_medium(0).collision_pair_count(a, b);
     }
   }
   EXPECT_GT(cross_cell_pairs, 0u);
@@ -67,8 +67,8 @@ TEST(TopologyNetworkTest, FcsmaCollidesMoreWithHiddenTerminals) {
       expfw::fcsma_factory()};
   complete.run(200);
   hidden.run(200);
-  EXPECT_GT(hidden.medium().counters().collisions,
-            complete.medium().counters().collisions);
+  EXPECT_GT(hidden.medium_counters().collisions,
+            complete.medium_counters().collisions);
 }
 
 TEST(TopologyNetworkTest, IndependentCellsAllowSpatialReuse) {

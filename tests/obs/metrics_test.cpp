@@ -193,7 +193,7 @@ TEST(ObservabilityTest, AttachedRegistryDoesNotPerturbResults) {
   observed.attach_metrics(&registry);
   observed.run(50);
 
-  EXPECT_EQ(plain.simulator().events_executed(), observed.simulator().events_executed());
+  EXPECT_EQ(plain.events_executed(), observed.events_executed());
   EXPECT_DOUBLE_EQ(plain.total_deficiency(), observed.total_deficiency());
   for (LinkId n = 0; n < 20; ++n) {
     EXPECT_DOUBLE_EQ(plain.stats().timely_throughput(n),
@@ -232,18 +232,18 @@ TEST(ObservabilityTest, CollectWorksWithoutLiveAttachment) {
 TEST(ObservabilityTest, BusyFractionStaysAFractionUnderCollisions) {
   net::Network network{expfw::video_symmetric(0.9, 0.9, 79), expfw::fcsma_factory()};
   network.run(40);
-  ASSERT_GT(network.medium().counters().collisions, 0u)
+  ASSERT_GT(network.medium_counters().collisions, 0u)
       << "scenario must actually collide to exercise the overlap accounting";
 
   MetricsRegistry registry;
   collect_network_metrics(registry, network);
   const double busy = registry.gauge("phy.busy_fraction").value();
   const double airtime = registry.gauge("phy.airtime_fraction").value();
-  const double sim_seconds = network.simulator().now().seconds_f();
+  const double sim_seconds = network.now().seconds_f();
   EXPECT_GT(busy, 0.0);
   EXPECT_LE(busy, 1.0);
   EXPECT_DOUBLE_EQ(
-      busy, network.medium().sense_busy_time(phy::Medium::kAllNodes).seconds_f() / sim_seconds);
+      busy, network.global_sense_busy_time().seconds_f() / sim_seconds);
   // Overlap is exactly the gap between summed airtime and occupancy.
   EXPECT_GT(airtime, busy);
 }

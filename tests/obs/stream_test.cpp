@@ -136,7 +136,7 @@ TEST(StreamTest, StreamingDoesNotPerturbResults) {
   reg.stream_to(&sink, 2);
   streamed.run(30);
 
-  EXPECT_EQ(plain.simulator().events_executed(), streamed.simulator().events_executed());
+  EXPECT_EQ(plain.events_executed(), streamed.events_executed());
   EXPECT_DOUBLE_EQ(plain.total_deficiency(), streamed.total_deficiency());
   EXPECT_FALSE(sink.str().empty());
 }

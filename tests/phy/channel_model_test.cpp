@@ -93,7 +93,7 @@ TEST(GilbertElliottTest, NetworkRunsWithBurstyChannel) {
   net.run(800);
   // Light load: the requirement must still be met despite burstiness.
   EXPECT_LT(net.total_deficiency(), 0.1);
-  EXPECT_EQ(net.medium().counters().collisions, 0u);
+  EXPECT_EQ(net.medium_counters().collisions, 0u);
 }
 
 TEST(GilbertElliottTest, MediumReportsModelMean) {

@@ -55,7 +55,7 @@ TEST(DeliveryLatencyTest, AllWithinDeadline) {
     net.run(50);
     const auto latencies = delivery_latencies(tracer, Duration::milliseconds(20));
     ASSERT_GT(latencies.count(), 0u);
-    EXPECT_LE(latencies.max(), Duration::milliseconds(20)) << net.scheme().name();
+    EXPECT_LE(latencies.max(), Duration::milliseconds(20)) << net.cell_scheme(0).name();
   }
 }
 
