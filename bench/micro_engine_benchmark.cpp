@@ -10,14 +10,18 @@
 // tools/bench_report.py over this binary's JSON output.
 //
 // Provides its own main so `--smoke` works like every other bench binary
-// (CI runs `$b --smoke` uniformly): smoke mode runs only the cheap event
-// queue benchmarks instead of the multi-second protocol loops.
+// (CI runs `$b --smoke` uniformly): smoke mode runs the cheap event queue
+// and sketch benchmarks plus every allocation-count benchmark (BM_*Allocs)
+// instead of the multi-second protocol loops, and exits 1 when any
+// allocation counter of a BM_*Allocs benchmark is nonzero.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -47,12 +51,26 @@ void* counted_alloc(std::size_t size) {
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc{};
 }
+
+// Over-aligned types (the lane runner's per-lane cache lines) need the
+// requested alignment, which malloc does not promise.
+void* counted_alloc(std::size_t size, std::align_val_t alignment) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  const auto align = static_cast<std::size_t>(alignment);
+  const std::size_t rounded = (size + align - 1) / align * align;  // aligned_alloc's rule
+  if (void* p = std::aligned_alloc(align, rounded == 0 ? align : rounded)) return p;
+  throw std::bad_alloc{};
+}
 }  // namespace
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t) { return counted_alloc(size); }
-void* operator new[](std::size_t size, std::align_val_t) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, align);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -229,9 +247,10 @@ void BM_LdfIntervalAllocs(benchmark::State& state) {
 BENCHMARK(BM_LdfIntervalAllocs);
 
 // Same gate for the sharded engine's cut path: a chain of 16 carrier-sense
-// cliques of 8 links coupled by conflict-only cut pairs, on one shard job.
-// Every interval runs the coordinator's barrier rounds, the cut outboxes,
-// the mailbox and the cut resolver — all on storage reused across rounds.
+// cliques of 8 links coupled by conflict-only cut pairs, on range(0) shard
+// jobs. Every interval runs the coordinator's barrier rounds, the cut
+// outboxes, the mailbox, the cut resolver and (on two jobs) the lane
+// barriers — all on storage reused across rounds.
 void BM_ShardedChainIntervalAllocs(benchmark::State& state) {
   constexpr IntervalIndex kWindow = 32;
   constexpr std::size_t kCells = 16;
@@ -242,7 +261,7 @@ void BM_ShardedChainIntervalAllocs(benchmark::State& state) {
                              traffic::BernoulliArrivals{0.8}, 0.9, 1),
       expfw::chain_cells_topology(kCells, kCellSize));
   cfg.shards = kCells;
-  cfg.shard_jobs = 1;
+  cfg.shard_jobs = static_cast<std::size_t>(state.range(0));
   net::Network net{std::move(cfg), expfw::fcsma_factory()};
   net.run(16);  // warm-up: mailbox, outbox and cut-record capacities
   double allocs_per_interval = 0.0;
@@ -255,7 +274,7 @@ void BM_ShardedChainIntervalAllocs(benchmark::State& state) {
   state.counters["allocs_per_interval"] = allocs_per_interval;
   state.SetItemsProcessed(state.iterations() * kWindow);
 }
-BENCHMARK(BM_ShardedChainIntervalAllocs);
+BENCHMARK(BM_ShardedChainIntervalAllocs)->Arg(1)->Arg(2);
 
 // Quantile-sketch update throughput: the per-interval observability cost of
 // the sketch-backed series (debt, deliveries, busy periods, latency).
@@ -323,6 +342,30 @@ void BM_PriorityEvaluatorExact(benchmark::State& state) {
 }
 BENCHMARK(BM_PriorityEvaluatorExact)->Arg(5)->Arg(10)->Arg(20);
 
+/// Console output plus the allocation gate of smoke mode: every counter
+/// named allocs* of a BM_*Allocs benchmark must read exactly 0.
+class AllocGateReporter final : public benchmark::ConsoleReporter {
+ public:
+  void ReportRuns(const std::vector<Run>& reports) override {
+    ConsoleReporter::ReportRuns(reports);
+    for (const Run& run : reports) {
+      const std::string name = run.benchmark_name();
+      if (name.find("Allocs") == std::string::npos) continue;
+      for (const auto& [counter, value] : run.counters) {
+        if (counter.rfind("allocs", 0) == 0 && value.value != 0.0) {
+          std::fprintf(stderr, "allocation gate: %s reports %s = %g (must be 0)\n",
+                       name.c_str(), counter.c_str(), value.value);
+          failed_ = true;
+        }
+      }
+    }
+  }
+  [[nodiscard]] bool failed() const { return failed_; }
+
+ private:
+  bool failed_ = false;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -335,12 +378,19 @@ int main(int argc, char** argv) {
       args.push_back(argv[i]);
     }
   }
-  static char filter[] = "--benchmark_filter=BM_EventQueue.*|BM_Sketch.*";
+  static char filter[] = "--benchmark_filter=BM_EventQueue.*|BM_Sketch.*|BM_.*Allocs.*";
   if (smoke) args.push_back(filter);
   int count = static_cast<int>(args.size());
   benchmark::Initialize(&count, args.data());
   if (benchmark::ReportUnrecognizedArguments(count, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  int status = 0;
+  if (smoke) {
+    AllocGateReporter gate;
+    benchmark::RunSpecifiedBenchmarks(&gate);
+    status = gate.failed() ? 1 : 0;
+  } else {
+    benchmark::RunSpecifiedBenchmarks();
+  }
   benchmark::Shutdown();
-  return 0;
+  return status;
 }

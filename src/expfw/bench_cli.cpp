@@ -31,8 +31,9 @@ BenchArgs parse_bench_args(int argc, const char* const* argv,
         << "  --shards N       partition each network into N shards (0 runs one\n"
         << "                   cell over all links; default: whatever the bench's\n"
         << "                   configs say). Results are byte-identical for any value.\n"
-        << "  --shard-jobs N   worker threads per sharded network (default: one\n"
-        << "                   per parallel group, capped at the core count)\n"
+        << "  --shard-jobs N   execution lanes per sharded network: the calling\n"
+        << "                   thread plus N-1 workers (default: one per parallel\n"
+        << "                   group, capped at the core count)\n"
         << "  --smoke          tiny grid + short horizon for CI\n"
         << "  --metrics-out D  write JSONL metrics + engine profile under D\n"
         << "  --trace-out F    write a Perfetto-loadable Chrome trace to F\n"

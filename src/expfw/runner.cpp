@@ -19,6 +19,7 @@
 #include "obs/trace_export.hpp"
 #include "sim/trace.hpp"
 #include "stats/deficiency.hpp"
+#include "util/lane_runner.hpp"
 #include "util/math.hpp"
 #include "util/resource.hpp"
 #include "util/rng.hpp"
@@ -222,7 +223,7 @@ std::vector<SweepResult> run_sweeps(const std::vector<SchemeSpec>& schemes,
   }
 
   const std::size_t tasks = schemes.size() * grid.size() * opts.reps;
-  const std::size_t requested = opts.jobs == 0 ? ThreadPool::hardware_threads() : opts.jobs;
+  const std::size_t requested = opts.jobs == 0 ? util::hardware_threads() : opts.jobs;
   ThreadPool pool{std::min(requested, tasks)};
   SerializedConfigAt serialized_config_at{config_at};
 
@@ -342,6 +343,19 @@ std::vector<SweepResult> run_sweeps(const std::vector<SchemeSpec>& schemes,
             std::ostringstream block;
             registry.write_jsonl(block, context);
             metric_blocks[task_index] = std::move(block).str();
+            // Lane attribution (wall clock, so profile output only): per
+            // lane, the time spent running cells and the time lost waiting
+            // at the lane barrier for the slowest lane.
+            std::string work_ns = "[";
+            std::string wait_ns = "[";
+            for (const util::LaneRunner::LaneStats& lane : network.lane_stats()) {
+              if (work_ns.size() > 1) {
+                work_ns += ',';
+                wait_ns += ',';
+              }
+              work_ns += obs::json_number(lane.work_ns);
+              wait_ns += obs::json_number(lane.wait_ns);
+            }
             profile_blocks[task_index] =
                 obs::JsonObject{}
                     .field("name", "task_profile")
@@ -352,6 +366,9 @@ std::vector<SweepResult> run_sweeps(const std::vector<SchemeSpec>& schemes,
                     .field("events", profile.events)
                     .field("wall_seconds", profile.wall_seconds)
                     .field("events_per_sec", profile.events_per_sec())
+                    .field("prof.lane_rounds", network.lane_rounds())
+                    .raw("prof.lane_work_ns", work_ns + "]")
+                    .raw("prof.lane_wait_ns", wait_ns + "]")
                     .str() +
                 "\n";
           }

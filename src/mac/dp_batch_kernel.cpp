@@ -97,8 +97,7 @@ DpBatchKernel::DpBatchKernel(std::size_t num_links, SharedSeed shared_seed,
       sigma_(num_links),
       role_(num_links, 0),
       xi_(num_links, 0),
-      beta_(num_links, 0),
-      perm_scratch_(priority_space_, 0) {
+      beta_(num_links, 0) {
   RTMAC_REQUIRE(num_links >= 1);
   RTMAC_REQUIRE(max_pairs >= 1);
   RTMAC_REQUIRE(priority_space_ >= num_links);
@@ -115,7 +114,9 @@ DpBatchKernel::DpBatchKernel(std::size_t num_links, SharedSeed shared_seed,
     coin_rng_.emplace_back(seed, /*stream_id=*/0xD100000000ULL + stream);
   }
   pairs_.reserve(static_cast<std::size_t>(max_pairs));
-  if (priority_space_ >= 2) anchors_scratch_.reserve(priority_space_ - 1);
+  // Only the multi-pair draw shuffles the anchor range; one pair needs no
+  // working set.
+  if (max_pairs > 1 && priority_space_ >= 2) anchors_scratch_.reserve(priority_space_ - 1);
 }
 
 void DpBatchKernel::plan_interval(IntervalIndex k) {
@@ -178,15 +179,18 @@ int DpBatchKernel::resolve_swap(LinkId n, bool frozen_at_one, bool claim_aired) 
 }
 
 void DpBatchKernel::validate_permutation() {
-  const std::size_t n_links = sigma_.size();
-  perm_scratch_.assign(priority_space_, 0);
-  for (LinkId n = 0; n < n_links; ++n) {
-    const PriorityIndex pr = sigma_[n];
-    RTMAC_ASSERT(pr >= 1 && pr <= priority_space_ && perm_scratch_[pr - 1] == 0,
-                 "priority state diverged: swap decisions inconsistent (priority ", pr,
-                 " among N=", priority_space_, ")");
-    perm_scratch_[pr - 1] = 1;
-  }
+  // Range and uniqueness of this kernel's own sigmas, in O(k log k): a cell
+  // of a larger domain holds k of the N global priorities.
+  perm_scratch_.assign(sigma_.begin(), sigma_.end());
+  std::sort(perm_scratch_.begin(), perm_scratch_.end());
+  RTMAC_ASSERT(perm_scratch_.front() >= 1 && perm_scratch_.back() <= priority_space_,
+               "priority state diverged: priority out of range (",
+               perm_scratch_.front() < 1 ? perm_scratch_.front() : perm_scratch_.back(),
+               " among N=", priority_space_, ")");
+  const auto dup = std::adjacent_find(perm_scratch_.begin(), perm_scratch_.end());
+  RTMAC_ASSERT(dup == perm_scratch_.end(),
+               "priority state diverged: swap decisions inconsistent (priority ",
+               dup == perm_scratch_.end() ? 0 : *dup, " among N=", priority_space_, ")");
 }
 
 // ---- DpBatchBackoff ---------------------------------------------------------
@@ -211,32 +215,22 @@ void DpBatchBackoff::begin_interval(TimePoint now, std::span<const int> betas,
   RTMAC_REQUIRE(betas.size() == num_links_ && armed.size() == num_links_);
   stop();
   std::copy(betas.begin(), betas.end(), betas_.begin());
-  // DP windows are unique small integers (eq. 6: at most ~N + 2*pairs), so a
-  // counting scatter over [0, max window] replaces a comparison sort and at
-  // most one expiry is ever due at a time. The bucket array grows once to
-  // the steady window range and is reused every interval thereafter.
-  int max_beta = -1;
-  std::size_t selected = 0;
+  // Windows are unique per interval, so ordering the scheduled links by
+  // window is a plain sort and at most one expiry is ever due at a time.
+  order_.clear();
   for (LinkId n = 0; n < num_links_; ++n) {
     if (include_unarmed || armed[n] != 0) {
       RTMAC_ASSERT(betas_[n] >= 0, "negative backoff window");
-      max_beta = std::max(max_beta, betas_[n]);
-      ++selected;
+      order_.push_back(n);
     }
   }
-  if (static_cast<std::size_t>(max_beta + 1) > bucket_.size()) bucket_.resize(max_beta + 1);
-  std::fill(bucket_.begin(), bucket_.begin() + (max_beta + 1), kNoLink);
-  for (LinkId n = 0; n < num_links_; ++n) {
-    if (include_unarmed || armed[n] != 0) {
-      RTMAC_ASSERT(bucket_[betas_[n]] == kNoLink, "duplicate backoff window");
-      bucket_[betas_[n]] = n;
-    }
-  }
-  order_.clear();
-  for (int b = 0; b <= max_beta; ++b) {
-    if (bucket_[b] != kNoLink) order_.push_back(bucket_[b]);
-  }
-  RTMAC_ASSERT(order_.size() == selected, "counting sort lost a link");
+  const auto by_window = [this](LinkId a, LinkId b) { return betas_[a] < betas_[b]; };
+  std::sort(order_.begin(), order_.end(), by_window);
+  RTMAC_ASSERT(std::adjacent_find(order_.begin(), order_.end(),
+                                  [this](LinkId a, LinkId b) {
+                                    return betas_[a] == betas_[b];
+                                  }) == order_.end(),
+               "duplicate backoff window");
   next_ = 0;
   freeze_log_.clear();
   elapsed_at_resume_ = 0;

@@ -124,9 +124,11 @@ class DpBatchKernel {
   /// returns the priority delta (+1 down, -1 up, 0 none).
   int resolve_swap(LinkId n, bool frozen_at_one, bool claim_aired);
 
-  /// Debug check: priorities still form a permutation of {1..N}. Only
-  /// meaningful under complete sensing (hidden terminals may legitimately
-  /// commit one-sided swaps). Allocation-free after first use.
+  /// Debug check: this kernel's priorities are distinct and lie in
+  /// {1..priority_space()} — on an unsharded domain, a permutation of
+  /// {1..N}. Only meaningful under complete sensing (hidden terminals may
+  /// legitimately commit one-sided swaps). O(k log k) in the kernel's own
+  /// link count; allocation-free after first use.
   void validate_permutation();
 
   [[nodiscard]] std::size_t num_links() const { return sigma_.size(); }
@@ -154,7 +156,7 @@ class DpBatchKernel {
            (sigma_.capacity() + pairs_.capacity() + anchors_scratch_.capacity()) *
                sizeof(PriorityIndex) +
            role_.capacity() + xi_.capacity() + beta_.capacity() * sizeof(int) +
-           perm_scratch_.capacity();
+           perm_scratch_.capacity() * sizeof(PriorityIndex);
   }
 
  private:
@@ -172,8 +174,8 @@ class DpBatchKernel {
   std::vector<int> beta_;             ///< backoff window (slots)
 
   std::vector<PriorityIndex> pairs_;            ///< this interval's candidate anchors
-  std::vector<PriorityIndex> anchors_scratch_;  ///< candidate_set_into working set
-  std::vector<std::uint8_t> perm_scratch_;      ///< validate_permutation working set
+  std::vector<PriorityIndex> anchors_scratch_;  ///< candidate_set_into working set (multi-pair)
+  std::vector<PriorityIndex> perm_scratch_;     ///< validate_permutation working set
 };
 
 /// One shared backoff clock for all DP links of a complete-sensing collision
@@ -186,6 +188,11 @@ class DpBatchKernel {
 /// window to elapse) suffices. Freeze records become one shared log of
 /// elapsed-slot values: link n "froze at remaining count c" iff some logged
 /// elapsed value e satisfies beta_n - e == c.
+///
+/// The expiry schedule is a sort of the scheduled links by window, O(k log k)
+/// in the clock's own link count k. A counting scatter over [0, max window]
+/// would be O(N) per interval for a shard cell, whose windows live in the
+/// GLOBAL priority space of all N links.
 ///
 /// Registers itself as a global-view Medium listener at construction; must
 /// outlive the run (same contract as BackoffEngine).
@@ -227,7 +234,7 @@ class DpBatchBackoff final : public phy::MediumListener {
   /// per-link counter handles), for the mem.mac gauge.
   [[nodiscard]] std::size_t memory_bytes() const {
     return (betas_.capacity() + freeze_log_.capacity()) * sizeof(int) +
-           (order_.capacity() + bucket_.capacity()) * sizeof(LinkId) +
+           order_.capacity() * sizeof(LinkId) +
            freeze_ns_.capacity() * sizeof(obs::Counter*);
   }
 
@@ -236,9 +243,6 @@ class DpBatchBackoff final : public phy::MediumListener {
   void on_medium_idle(TimePoint t) override;
 
  private:
-  /// Empty-bucket sentinel for the counting sort.
-  static constexpr LinkId kNoLink = static_cast<LinkId>(-1);
-
   void schedule_next();
   void fire();
   void account_freezes(TimePoint resume_at);
@@ -251,7 +255,6 @@ class DpBatchBackoff final : public phy::MediumListener {
 
   std::vector<int> betas_;      ///< per-link windows for the current interval
   std::vector<LinkId> order_;   ///< scheduled links, ascending by window
-  std::vector<LinkId> bucket_;  ///< counting-sort scratch, indexed by window
   std::size_t next_ = 0;        ///< index into order_ of the next expiry
   std::vector<int> freeze_log_; ///< shared elapsed-slot value at each freeze
 

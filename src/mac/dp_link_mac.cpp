@@ -183,13 +183,17 @@ std::vector<PriorityIndex> initial_priority_array(
     const SchemeContext& ctx, const std::optional<core::Permutation>& initial) {
   // Priorities live in the GLOBAL space: a shard cell slices the domain-wide
   // permutation by its links' global ids, so the sigma each link carries is
-  // the one it would hold in the unsharded run.
-  const std::size_t space = ctx.priority_space();
-  const core::Permutation init =
-      initial.has_value() ? *initial : core::Permutation::identity(space);
-  RTMAC_REQUIRE(init.size() == space);
+  // the one it would hold in the unsharded run. The default (identity)
+  // permutation gives link g priority g + 1, with no O(N) table per cell.
   std::vector<PriorityIndex> out(ctx.num_links);
-  for (LinkId n = 0; n < ctx.num_links; ++n) out[n] = init.priority_of(ctx.global_id(n));
+  if (initial.has_value()) {
+    RTMAC_REQUIRE(initial->size() == ctx.priority_space());
+    for (LinkId n = 0; n < ctx.num_links; ++n) out[n] = initial->priority_of(ctx.global_id(n));
+  } else {
+    for (LinkId n = 0; n < ctx.num_links; ++n) {
+      out[n] = static_cast<PriorityIndex>(ctx.global_id(n) + 1);
+    }
+  }
   return out;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <future>
 #include <string>
 #include <utility>
 
@@ -12,7 +11,7 @@
 #include "sim/sharded_simulator.hpp"
 #include "stats/deficiency.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
+#include "util/lane_runner.hpp"
 
 namespace rtmac::net {
 
@@ -145,6 +144,10 @@ struct Network::Cell final : public sim::ShardCell {
   // here — without them the bodies could not call the Medium's
   // barrier-phase-only entry points.
   [[nodiscard]] TimePoint clock() const override { return sim.now(); }
+  bool stage_outbox() override RTMAC_REQUIRES(sim::shard_barrier) {
+    medium->drain_cut_outbox(outbox_scratch);
+    return !outbox_scratch.empty();
+  }
   void drain_outbox(std::vector<sim::CutTxRecord>& into) override
       RTMAC_REQUIRES(sim::shard_barrier);
   void deliver_remote(const sim::CutTxRecord& record) override
@@ -175,20 +178,21 @@ struct Network::Engine {
   std::unique_ptr<CutState> cut;
   std::vector<std::unique_ptr<Cell>> cells;
   std::vector<sim::ShardCell*> cell_ptrs;
-  std::unique_ptr<ThreadPool> pool;                  ///< null = serial groups
+  /// lanes[l] = the cells lane l runs: whole plan groups folded onto the
+  /// runner's lanes. Execution only — results never depend on it.
+  std::vector<std::vector<std::uint32_t>> lanes;
+  std::unique_ptr<util::LaneRunner> runner;            ///< never null
   std::unique_ptr<sim::ShardCoordinator> coordinator;  ///< null = cut-free fast path
-  std::vector<std::future<void>> futures;  ///< cut-free group tasks, reused per interval
 };
 
 void Network::Cell::drain_outbox(std::vector<sim::CutTxRecord>& into)
     RTMAC_REQUIRES(sim::shard_barrier) {
-  outbox_scratch.clear();
-  medium->drain_cut_outbox(outbox_scratch);
   for (const phy::CutTxExport& e : outbox_scratch) {
     const sim::CutTxRecord r{e.link, index, e.start, e.end};
     net.engine_->cut->add_record(r);
     into.push_back(r);
   }
+  outbox_scratch.clear();
 }
 
 // ---- construction -----------------------------------------------------------
@@ -203,7 +207,7 @@ sim::ShardPlan plan_cells(const NetworkConfig& config) {
   const std::size_t n = config.num_links();
   const std::size_t target =
       config.shards > 0 ? config.shards
-                        : (config.auto_shard ? ThreadPool::hardware_threads() : 0);
+                        : (config.auto_shard ? util::hardware_threads() : 0);
   if (target == 0) return sim::ShardPlan::single_cell(n);
   if (config.sparse_topology != nullptr) {
     // Partition from the sparse lists in place — a 10^6-link topology's
@@ -385,18 +389,15 @@ void Network::build_engine(sim::ShardPlan plan, const mac::SchemeFactory& scheme
   eng.cell_ptrs.reserve(num_cells);
   for (const auto& cell : eng.cells) eng.cell_ptrs.push_back(cell.get());
 
-  // One group needs no pool, and hardware_threads() reads sysfs (tens of
-  // microseconds cold, more than the rest of a small network's set-up), so
-  // it is asked only when there is a choice to make.
+  // One lane per worker: whole groups fold onto `jobs` lanes, and the
+  // calling thread serves as lane 0, so one group starts no thread.
   const std::size_t groups = eng.plan.groups.size();
   const std::size_t jobs =
       groups <= 1 ? 1
                   : std::min(groups, config_.shard_jobs != 0 ? config_.shard_jobs
-                                                             : ThreadPool::hardware_threads());
-  if (jobs > 1) {
-    eng.pool = std::make_unique<ThreadPool>(jobs);
-    eng.futures.reserve(groups);
-  }
+                                                             : util::hardware_threads());
+  eng.lanes = eng.plan.lanes(jobs);
+  eng.runner = std::make_unique<util::LaneRunner>(jobs);
 
   if (!eng.plan.cut_conflicts.empty() || !eng.plan.cut_senses.empty()) {
     // Cells coupled by ANY cut relation bound each other's windows. Sense
@@ -419,7 +420,7 @@ void Network::build_engine(sim::ShardPlan plan, const mac::SchemeFactory& scheme
     }
     eng.coordinator = std::make_unique<sim::ShardCoordinator>(
         eng.cell_ptrs, std::move(cut_neighbors), sim::CutListeners::from_plan(eng.plan),
-        eng.plan.groups, eng.pool.get());
+        eng.lanes, *eng.runner);
   }
 }
 
@@ -504,30 +505,42 @@ void Network::run(IntervalIndex intervals) {
 
 void Network::run_interval(IntervalIndex k, TimePoint start, TimePoint end) {
   Engine& eng = *engine_;
-  for (auto& cell : eng.cells) {
-    for (std::size_t j = 0; j < cell->links.size(); ++j) {
-      cell->arrivals[j] = arrivals_[cell->links[j]];
-    }
-  }
   if (tracer_ != nullptr) {
     tracer_->record(start, sim::TraceKind::kIntervalStart, sim::kNoLink,
                     static_cast<std::int64_t>(k));
   }
 
+  // Interval edges are cell-local, so each lane runs them for its own cells
+  // (which keeps a cell's state in its lane's cache). Cells read disjoint
+  // slots of arrivals_ and write disjoint slots of delivered_.
+  auto begin_cell = [this, k, start, end](Cell& cell) {
+    RTMAC_ASSERT(cell.sim.now() == start, "interval boundaries drifted");
+    for (std::size_t j = 0; j < cell.links.size(); ++j) {
+      cell.arrivals[j] = arrivals_[cell.links[j]];
+    }
+    cell.medium->note_interval_start(start);  // anchors the delivery-latency series
+    cell.scheme->begin_interval(k, cell.arrivals, end);
+  };
+  auto end_cell = [this](Cell& cell) {
+    RTMAC_ASSERT(!cell.medium->busy(), "a transmission overran the interval boundary (gap rule)");
+    cell.scheme->end_interval(cell.delivered);
+    cell.debts.on_interval_end(cell.delivered);
+    for (std::size_t j = 0; j < cell.links.size(); ++j) {
+      delivered_[cell.links[j]] = cell.delivered[j];
+    }
+  };
+
   if (eng.coordinator != nullptr) {
-    // Cut path: serial interval-edge work, windowed parallel advancement.
-    for (auto& cell : eng.cells) {
-      RTMAC_ASSERT(cell->sim.now() == start, "interval boundaries drifted");
-      cell->medium->note_interval_start(start);
-      cell->scheme->begin_interval(k, cell->arrivals, end);
-    }
+    // Cut path: interval edges in the lanes, windowed advancement between.
+    auto begin_lane = [&eng, &begin_cell](std::size_t lane) {
+      for (const std::uint32_t ci : eng.lanes[lane]) begin_cell(*eng.cells[ci]);
+    };
+    auto end_lane = [&eng, &end_cell](std::size_t lane) {
+      for (const std::uint32_t ci : eng.lanes[lane]) end_cell(*eng.cells[ci]);
+    };
+    eng.runner->run(begin_lane);
     eng.coordinator->advance_to(end);
-    for (auto& cell : eng.cells) {
-      RTMAC_ASSERT(!cell->medium->busy(),
-                   "a transmission overran the interval boundary (gap rule)");
-      cell->scheme->end_interval(cell->delivered);
-      cell->debts.on_interval_end(cell->delivered);
-    }
+    eng.runner->run(end_lane);
     {
       // Interval boundary is serial — same discipline as the window barrier.
       const util::PhantomLock barrier{sim::shard_barrier};
@@ -535,37 +548,18 @@ void Network::run_interval(IntervalIndex k, TimePoint start, TimePoint end) {
     }
   } else {
     // Cut-free fast path: cells are fully independent, so the whole interval
-    // (begin / run / end / debts) folds into one task per group.
-    auto run_group = [&](const std::vector<std::uint32_t>& group) {
-      for (const std::uint32_t ci : group) {
+    // folds into one round of lanes.
+    auto run_lane = [&eng, &begin_cell, &end_cell, end](std::size_t lane) {
+      for (const std::uint32_t ci : eng.lanes[lane]) {
         Cell& cell = *eng.cells[ci];
-        RTMAC_ASSERT(cell.sim.now() == start, "interval boundaries drifted");
-        cell.medium->note_interval_start(start);  // anchors the delivery-latency series
-        cell.scheme->begin_interval(k, cell.arrivals, end);
+        begin_cell(cell);
         cell.sim.run_until(end);
-        RTMAC_ASSERT(!cell.medium->busy(),
-                     "a transmission overran the interval boundary (gap rule)");
-        cell.scheme->end_interval(cell.delivered);
-        cell.debts.on_interval_end(cell.delivered);
+        end_cell(cell);
       }
     };
-    if (eng.pool != nullptr && eng.plan.groups.size() > 1) {
-      eng.futures.clear();
-      for (const auto& group : eng.plan.groups) {
-        eng.futures.push_back(eng.pool->submit([&run_group, &group] { run_group(group); }));
-      }
-      eng.pool->wait_all(eng.futures);
-      for (auto& f : eng.futures) f.get();  // surface worker exceptions
-    } else {
-      for (const auto& group : eng.plan.groups) run_group(group);
-    }
+    eng.runner->run(run_lane);
   }
 
-  for (auto& cell : eng.cells) {
-    for (std::size_t j = 0; j < cell->links.size(); ++j) {
-      delivered_[cell->links[j]] = cell->delivered[j];
-    }
-  }
   if (tracer_ != nullptr) {
     tracer_->record(end, sim::TraceKind::kIntervalEnd, sim::kNoLink,
                     static_cast<std::int64_t>(k));
@@ -612,6 +606,12 @@ const mac::MacScheme& Network::cell_scheme(std::size_t cell) const {
 std::uint64_t Network::coordinator_rounds() const {
   return engine_->coordinator != nullptr ? engine_->coordinator->rounds() : 0;
 }
+
+std::span<const util::LaneRunner::LaneStats> Network::lane_stats() const {
+  return engine_->runner->lane_stats();
+}
+
+std::uint64_t Network::lane_rounds() const { return engine_->runner->rounds(); }
 
 TimePoint Network::now() const { return engine_->cells.front()->sim.now(); }
 

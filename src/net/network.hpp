@@ -41,6 +41,7 @@
 #include "sim/trace.hpp"
 #include "stats/link_stats.hpp"
 #include "util/arena.hpp"
+#include "util/lane_runner.hpp"
 #include "util/rng.hpp"
 
 namespace rtmac::net {
@@ -93,7 +94,7 @@ class Network {
   // ---- cell plan ----------------------------------------------------------
   /// Number of cells (1 unless the partition cut the topology).
   [[nodiscard]] std::size_t cell_count() const;
-  /// Number of parallel groups.
+  /// Number of parallel groups in the plan (independent of the job count).
   [[nodiscard]] std::size_t group_count() const;
   /// Global link ids of one cell, ascending.
   [[nodiscard]] std::span<const LinkId> cell_links(std::size_t cell) const;
@@ -102,6 +103,13 @@ class Network {
   /// Coordinator barrier rounds so far (0 on cut-free plans, which skip the
   /// coordinator entirely).
   [[nodiscard]] std::uint64_t coordinator_rounds() const;
+  /// Wall-clock work and barrier-wait time per execution lane (min(groups,
+  /// shard jobs) lanes; lane 0 is the calling thread), and the lane rounds
+  /// run (one per interval on cut-free plans; otherwise the coordinator
+  /// rounds plus three per interval: begin, settle, end). Profile output
+  /// only: wall-clock data never enters a metrics registry.
+  [[nodiscard]] std::span<const util::LaneRunner::LaneStats> lane_stats() const;
+  [[nodiscard]] std::uint64_t lane_rounds() const;
 
   // ---- engine/medium facades (summed or routed over cells) ----------------
   [[nodiscard]] TimePoint now() const;

@@ -64,7 +64,8 @@ struct NetworkConfig {
   /// When true and `shards == 0`, pick a shard count automatically
   /// (hardware concurrency, capped by the number of cells).
   bool auto_shard = false;
-  /// Worker threads driving shard groups; 0 = min(groups, hardware).
+  /// Execution lanes that run the plan's groups: the calling thread plus
+  /// shard_jobs - 1 persistent workers; 0 = min(groups, hardware).
   std::size_t shard_jobs = 0;
 
   [[nodiscard]] std::size_t num_links() const { return success_prob.size(); }

@@ -296,9 +296,10 @@ class Medium {
   // standalone Medium).
   //
   // The per-window entry points REQUIRE the sim::shard_barrier phantom
-  // capability: they mutate cross-shard state and are only sound inside the
-  // coordinator's serial barrier phase. configure_shard/register_remote_sense
-  // run at construction time, before any parallel phase exists, and are
+  // capability: they are only sound while this cell's engine is stopped —
+  // in the coordinator's serial barrier phase, or in the lane that runs the
+  // cell, between its windows. configure_shard/register_remote_sense run at
+  // construction time, before any parallel phase exists, and are
   // deliberately unannotated.
 
   /// Enters shard mode. The topology may keep complete sensing only if the

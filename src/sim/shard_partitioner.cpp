@@ -9,6 +9,31 @@
 namespace rtmac::sim {
 namespace {
 
+/// Greedy balanced packing: items descending by weight (ties toward the
+/// lower index) onto the least-loaded bin (ties toward the lower bin).
+/// Returns each bin's item indices, ascending.
+std::vector<std::vector<std::uint32_t>> balance(const std::vector<std::size_t>& weights,
+                                                std::size_t bins) {
+  std::vector<std::vector<std::uint32_t>> out(bins);
+  if (bins == 0) return out;
+  std::vector<std::uint32_t> by_weight(weights.size());
+  std::iota(by_weight.begin(), by_weight.end(), std::uint32_t{0});
+  std::sort(by_weight.begin(), by_weight.end(), [&weights](std::uint32_t x, std::uint32_t y) {
+    return weights[x] != weights[y] ? weights[x] > weights[y] : x < y;
+  });
+  std::vector<std::size_t> load(bins, 0);
+  for (const std::uint32_t item : by_weight) {
+    std::size_t b = 0;
+    for (std::size_t i = 1; i < bins; ++i) {
+      if (load[i] < load[b]) b = i;
+    }
+    out[b].push_back(item);
+    load[b] += weights[item];
+  }
+  for (auto& bin : out) std::sort(bin.begin(), bin.end());
+  return out;
+}
+
 /// Sorted, deduplicated, self-loop-free union of the conflict and sense
 /// relations, symmetrized (connectivity is undirected even though sensing
 /// is not).
@@ -188,31 +213,28 @@ ShardPlan partition_topology(const AdjacencyLists& conflict, const AdjacencyList
   plan.cut_senses.erase(std::unique(plan.cut_senses.begin(), plan.cut_senses.end()),
                         plan.cut_senses.end());
 
-  // Greedy balanced grouping: cells descending by link count (ties toward
-  // the lower cell index) onto the least-loaded group (ties toward the
-  // lower group index).
-  const std::size_t num_groups = std::min(target_shards, plan.cells.size());
-  plan.groups.assign(num_groups, {});
-  if (num_groups > 0) {
-    std::vector<std::uint32_t> by_size(plan.cells.size());
-    for (std::uint32_t c = 0; c < by_size.size(); ++c) by_size[c] = c;
-    std::sort(by_size.begin(), by_size.end(), [&](std::uint32_t x, std::uint32_t y) {
-      const std::size_t sx = plan.cells[x].size();
-      const std::size_t sy = plan.cells[y].size();
-      return sx != sy ? sx > sy : x < y;
-    });
-    std::vector<std::size_t> load(num_groups, 0);
-    for (std::uint32_t c : by_size) {
-      std::size_t g = 0;
-      for (std::size_t i = 1; i < num_groups; ++i) {
-        if (load[i] < load[g]) g = i;
-      }
-      plan.groups[g].push_back(c);
-      load[g] += plan.cells[c].size();
-    }
-    for (auto& group : plan.groups) std::sort(group.begin(), group.end());
-  }
+  // Greedy balanced grouping of the cells by link count.
+  std::vector<std::size_t> cell_sizes(plan.cells.size());
+  for (std::size_t c = 0; c < cell_sizes.size(); ++c) cell_sizes[c] = plan.cells[c].size();
+  plan.groups = balance(cell_sizes, std::min(target_shards, plan.cells.size()));
   return plan;
+}
+
+std::vector<std::vector<std::uint32_t>> ShardPlan::lanes(std::size_t count) const {
+  RTMAC_REQUIRE(count >= 1 && count <= groups.size(), "lane count must lie in [1, groups]");
+  std::vector<std::size_t> group_sizes(groups.size(), 0);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (const std::uint32_t c : groups[g]) group_sizes[g] += cells[c].size();
+  }
+  std::vector<std::vector<std::uint32_t>> out(count);
+  const std::vector<std::vector<std::uint32_t>> lane_groups = balance(group_sizes, count);
+  for (std::size_t l = 0; l < count; ++l) {
+    for (const std::uint32_t g : lane_groups[l]) {
+      out[l].insert(out[l].end(), groups[g].begin(), groups[g].end());
+    }
+    std::sort(out[l].begin(), out[l].end());
+  }
+  return out;
 }
 
 ShardPlan ShardPlan::single_cell(std::size_t num_links) {

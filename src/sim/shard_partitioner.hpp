@@ -56,9 +56,17 @@ struct ShardPlan {
   /// Cross-cell sense relations, sorted by (listener, speaker). Each one
   /// needs remote-activity injection at window barriers.
   std::vector<CutSense> cut_senses;
-  /// groups[g] = ascending cell indices simulated by parallel worker g.
+  /// groups[g] = ascending cell indices of parallel group g (groups fold
+  /// onto execution lanes, see lanes()).
   /// Balanced greedily by link count; size <= requested shard count.
   std::vector<std::vector<std::uint32_t>> groups;
+
+  /// Folds the groups into `count` execution lanes (1 <= count <= groups):
+  /// whole groups, largest link count first, each onto the least-loaded
+  /// lane (ties toward lower indices). Returns each lane's cells, ascending.
+  /// A lane is only an execution unit: the plan itself, and everything
+  /// derived from `groups`, is independent of the lane count.
+  [[nodiscard]] std::vector<std::vector<std::uint32_t>> lanes(std::size_t count) const;
 
   /// A trivial plan: one cell, nothing cut — one engine serves every link.
   [[nodiscard]] bool trivial() const {

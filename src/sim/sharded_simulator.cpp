@@ -32,100 +32,112 @@ CutListeners CutListeners::from_plan(const ShardPlan& plan) {
 ShardCoordinator::ShardCoordinator(std::vector<ShardCell*> cells,
                                    std::vector<std::vector<std::uint32_t>> cut_neighbors,
                                    CutListeners listeners,
-                                   std::vector<std::vector<std::uint32_t>> groups,
-                                   ThreadPool* pool)
+                                   std::vector<std::vector<std::uint32_t>> lanes,
+                                   util::LaneRunner& runner)
     : cells_{std::move(cells)},
       cut_neighbors_{std::move(cut_neighbors)},
       listeners_{std::move(listeners)},
-      groups_{std::move(groups)},
-      pool_{pool} {
+      lanes_{std::move(lanes)},
+      runner_{runner} {
   RTMAC_REQUIRE(!cells_.empty(), "coordinator needs at least one cell");
   RTMAC_REQUIRE(cut_neighbors_.size() == cells_.size(), "cut_neighbors size mismatch");
   RTMAC_REQUIRE(!listeners_.offsets.empty(), "listener index needs an offsets row");
-  futures_.reserve(groups_.size());
+  RTMAC_REQUIRE(lanes_.size() == runner_.lanes(), "one cell list per runner lane");
   const util::PhantomLock barrier{shard_barrier};
-  clock_snapshot_.resize(cells_.size());
-  bound_snapshot_.resize(cells_.size());
+  const std::size_t n = cells_.size();
+  clock_.resize(n);
+  round_start_.resize(n);
+  bound_.resize(n);
+  window_.resize(n);
+  staged_.assign(n, 0);
+}
+
+void ShardCoordinator::settle(std::size_t c) {
+  ShardCell& cell = *cells_[c];
+  clock_[c] = cell.clock();
+  staged_[c] = cell.stage_outbox() ? 1 : 0;
+  bound_[c] = cell.next_activity_bound();
+  RTMAC_ASSERT(bound_[c] >= clock_[c], "activity bound trails the cell clock");
 }
 
 void ShardCoordinator::advance_to(TimePoint horizon) {
+  // The barrier steps of one cell touch only that cell, so a lane holds the
+  // barrier capability for its own cells' steps while other lanes' cells
+  // run; run_window itself runs outside it. Every cell is settled once at
+  // interval start, then by its lane at the end of each window.
+  auto settle_lane = [this](std::size_t lane) {
+    const util::PhantomLock barrier{shard_barrier};
+    for (const std::uint32_t c : lanes_[lane]) settle(c);
+  };
+  auto advance = [this, horizon](std::size_t lane) {
+    for (const std::uint32_t c : lanes_[lane]) {
+      {
+        const util::PhantomLock barrier{shard_barrier};
+        cells_[c]->begin_window(window_[c]);
+      }
+      if (cells_[c]->clock() < horizon) cells_[c]->run_window(horizon);
+      const util::PhantomLock barrier{shard_barrier};
+      settle(c);
+    }
+  };
+  runner_.run(settle_lane);
   for (;;) {
     {
       // Serial barrier phase. The PhantomLock grants the shard_barrier
       // capability to this scope (coordinating thread only), which is what
       // entitles it to call the cells' barrier-phase methods and touch the
-      // guarded scratch vectors.
+      // barrier state.
       const util::PhantomLock barrier{shard_barrier};
 
-      // Snapshot clocks once per round; R_i below uses the snapshot so the
-      // round is independent of execution order inside the parallel phase.
+      // The settled clocks are this round's snapshot: R_i below depends on
+      // the snapshot only, never on execution order inside the lanes.
       bool done = true;
-      for (std::size_t c = 0; c < cells_.size(); ++c) {
-        clock_snapshot_[c] = cells_[c]->clock();
-        if (clock_snapshot_[c] < horizon) done = false;
+      for (const TimePoint clock : clock_) {
+        if (clock < horizon) done = false;
       }
       if (done) break;
 
-      // Drain outboxes in canonical cell order, then deliver each fresh
-      // record to the cells that listen to its link, in ascending cell
-      // order. Serial + ordered == deterministic mailbox contents.
+      // Drain staged outboxes in canonical cell order, then deliver each
+      // fresh record to the cells that listen to its link, in ascending
+      // cell order. Serial + ordered == deterministic mailbox contents.
       fresh_.clear();
-      for (auto* cell : cells_) cell->drain_outbox(fresh_);
+      for (std::size_t c = 0; c < cells_.size(); ++c) {
+        if (staged_[c] != 0) cells_[c]->drain_outbox(fresh_);
+      }
       for (const CutTxRecord& record : fresh_) {
         const std::uint32_t first = listeners_.offsets[record.link];
         const std::uint32_t last = listeners_.offsets[record.link + 1];
         for (std::uint32_t i = first; i < last; ++i) {
-          RTMAC_ASSERT(listeners_.cells[i] != record.cell, "a cell listens to itself");
-          cells_[listeners_.cells[i]]->deliver_remote(record);
+          const std::uint32_t listener = listeners_.cells[i];
+          RTMAC_ASSERT(listener != record.cell, "a cell listens to itself");
+          cells_[listener]->deliver_remote(record);
+          // Injections schedule events: the listener's activity bound is
+          // probed again after each delivery, since a stale bound could
+          // overshoot its reaction to fresh remote activity. Every other
+          // cell is unchanged since its lane settled it.
+          bound_[listener] = cells_[listener]->next_activity_bound();
         }
-      }
-      // Activity bounds are probed AFTER the deliveries above: injections
-      // schedule events, and a bound that ignored them could overshoot a
-      // neighbor's reaction to fresh remote activity.
-      for (std::size_t c = 0; c < cells_.size(); ++c) {
-        bound_snapshot_[c] = cells_[c]->next_activity_bound();
-        RTMAC_ASSERT(bound_snapshot_[c] >= clock_snapshot_[c],
-                     "activity bound trails the cell clock");
       }
       for (std::size_t c = 0; c < cells_.size(); ++c) {
         TimePoint bound = horizon;
-        for (std::uint32_t nb : cut_neighbors_[c]) {
-          if (bound_snapshot_[nb] < bound) bound = bound_snapshot_[nb];
+        for (const std::uint32_t nb : cut_neighbors_[c]) {
+          if (bound_[nb] < bound) bound = bound_[nb];
         }
-        cells_[c]->begin_window(bound);
+        window_[c] = bound;
       }
+      round_start_ = clock_;
     }
 
-    // Parallel phase: each group advances its cells toward the horizon.
-    if (pool_ != nullptr && groups_.size() > 1) {
-      futures_.clear();
-      for (const auto& group : groups_) {
-        futures_.push_back(pool_->submit([this, &group, horizon] {
-          for (std::uint32_t c : group) {
-            if (cells_[c]->clock() < horizon) cells_[c]->run_window(horizon);
-          }
-        }));
-      }
-      pool_->wait_all(futures_);
-      for (auto& f : futures_) f.get();  // surface task exceptions
-    } else {
-      for (const auto& group : groups_) {
-        for (std::uint32_t c : group) {
-          if (cells_[c]->clock() < horizon) cells_[c]->run_window(horizon);
-        }
-      }
-    }
+    runner_.run(advance);
     ++rounds_;
 
     // Safety net: the conservative bound guarantees the minimum clock
     // strictly advances each round; a stall means a lookahead bug, and
-    // looping forever would be far harder to debug than this abort. The
-    // parallel phase is over, so re-entering the barrier phase to read the
-    // snapshot is legitimate.
+    // looping forever would be far harder to debug than this abort.
     const util::PhantomLock barrier{shard_barrier};
     bool advanced = false;
     for (std::size_t c = 0; c < cells_.size(); ++c) {
-      if (cells_[c]->clock() > clock_snapshot_[c]) advanced = true;
+      if (clock_[c] > round_start_[c]) advanced = true;
     }
     RTMAC_ASSERT(advanced, "shard coordinator made no progress in a round");
   }

@@ -24,11 +24,6 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-std::size_t ThreadPool::hardware_threads() {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : n;
-}
-
 void ThreadPool::enqueue(Task task) {
   {
     const util::LockGuard lock{mutex_};

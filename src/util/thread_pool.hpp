@@ -36,9 +36,6 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Number of hardware threads, with a sane floor of 1.
-  [[nodiscard]] static std::size_t hardware_threads();
-
   /// Enqueues `fn` and returns a future for its result. An exception thrown
   /// by the task is captured and rethrown from future::get().
   template <typename F>

@@ -103,6 +103,12 @@ TEST(SweepObservabilityTest, WritesWellFormedMetricsProfileAndTrace) {
   const auto profile_names = check_jsonl(dir + "/profile.jsonl");
   // One profile line per (scheme, point, rep) task.
   EXPECT_EQ(profile_names.size(), 2u * 2u * 2u);
+  // Lane attribution is wall clock: profile output only.
+  const std::string profile = file_contents(dir + "/profile.jsonl");
+  EXPECT_NE(profile.find("\"prof.lane_rounds\":10,"), std::string::npos);
+  EXPECT_NE(profile.find("\"prof.lane_work_ns\":["), std::string::npos);
+  EXPECT_NE(profile.find("\"prof.lane_wait_ns\":["), std::string::npos);
+  EXPECT_EQ(file_contents(dir + "/metrics.jsonl").find("prof."), std::string::npos);
 
   const std::string trace_json = file_contents(trace);
   EXPECT_EQ(trace_json.find("{\"traceEvents\":["), 0u);

@@ -43,6 +43,16 @@ void* counted_alloc(std::size_t size) {
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc{};
 }
+
+// Over-aligned types (the lane runner's per-lane cache lines) need the
+// requested alignment, which malloc does not promise.
+void* counted_alloc(std::size_t size, std::align_val_t alignment) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  const auto align = static_cast<std::size_t>(alignment);
+  const std::size_t rounded = (size + align - 1) / align * align;  // aligned_alloc's rule
+  if (void* p = std::aligned_alloc(align, rounded == 0 ? align : rounded)) return p;
+  throw std::bad_alloc{};
+}
 }  // namespace
 
 // gcc -O2 cannot see that the replaced operator new forwards to malloc, so
@@ -51,8 +61,12 @@ void* counted_alloc(std::size_t size) {
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t) { return counted_alloc(size); }
-void* operator new[](std::size_t size, std::align_val_t) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, align);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -116,6 +130,60 @@ TEST(DpBatchKernelTest, MultiPairWindowsStayUnique) {
     std::set<int> betas(kernel.backoff_counts().begin(), kernel.backoff_counts().end());
     EXPECT_EQ(betas.size(), kN) << "duplicate window at interval " << k;
   }
+}
+
+// A shard cell holds k links whose priorities live in the GLOBAL space of
+// all N links; its kernel and shared clock must cost O(k), not O(N).
+
+TEST(DpBatchKernelTest, CellKernelMemoryDoesNotGrowWithThePrioritySpace) {
+  constexpr std::size_t kCellLinks = 8;
+  const FixedMuProvider provider{std::vector<double>(kCellLinks, 0.5)};
+  auto kernel_bytes = [&provider](std::size_t space) {
+    // The cell's links sit at the top of the global order.
+    std::vector<PriorityIndex> initial(kCellLinks);
+    std::vector<LinkId> ids(kCellLinks);
+    for (LinkId n = 0; n < kCellLinks; ++n) {
+      ids[n] = static_cast<LinkId>(space - kCellLinks + n);
+      initial[n] = static_cast<PriorityIndex>(ids[n] + 1);
+    }
+    DpBatchKernel kernel{kCellLinks, SharedSeed{3}, provider, /*reordering=*/true,
+                         /*max_pairs=*/1, initial, /*seed=*/4, space, ids};
+    for (IntervalIndex k = 0; k < 50; ++k) {
+      kernel.plan_interval(k);
+      kernel.validate_permutation();
+    }
+    return kernel.memory_bytes();
+  };
+  EXPECT_EQ(kernel_bytes(10'000), kernel_bytes(kCellLinks));
+}
+
+TEST(DpBatchBackoffTest, WindowsSpreadOverTheGlobalSpaceFireInWindowOrder) {
+  constexpr auto kSlot = Duration::microseconds(9);
+  constexpr std::size_t kLinks = 8;
+  sim::Simulator sim;
+  phy::Medium medium{sim, ProbabilityVector(kLinks, 1.0), 99};
+  std::vector<LinkId> fired;
+  std::vector<TimePoint> fired_at;
+  DpBatchBackoff clock{sim, medium, kSlot, kLinks, /*freeze_capacity_hint=*/4,
+                       DpBatchBackoff::ExpiryHandler{[&fired, &fired_at, &sim](LinkId n) {
+                         fired.push_back(n);
+                         fired_at.push_back(sim.now());
+                       }}};
+  const std::vector<int> betas = {9'999, 0, 4'321, 17, 10'000, 256, 7'777, 1'024};
+  std::vector<std::uint8_t> armed(kLinks, 1);
+  armed[6] = 0;  // nothing to send: left out of the schedule
+  const std::size_t bytes_before = clock.memory_bytes();
+  clock.begin_interval(sim.now(), betas, armed, /*include_unarmed=*/false);
+  sim.run();
+
+  const std::vector<LinkId> expected = {1, 3, 5, 7, 2, 0, 4};
+  EXPECT_EQ(fired, expected);
+  ASSERT_EQ(fired_at.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(fired_at[i], TimePoint::origin() + betas[expected[i]] * kSlot) << "expiry " << i;
+  }
+  // No storage indexed by window value: the largest window costs nothing.
+  EXPECT_EQ(clock.memory_bytes(), bytes_before);
 }
 
 // ---- 2. batch path vs scalar reference, whole-network runs ------------------

@@ -37,6 +37,8 @@ constexpr IntervalIndex kIntervals = 60;
 struct RunRecord {
   std::vector<int> delivered_series;  ///< flattened [interval][link]
   std::vector<double> debts;
+  std::vector<std::uint64_t> link_arrivals;   ///< stats totals
+  std::vector<std::uint64_t> link_delivered;  ///< stats totals
   std::vector<std::uint64_t> link_data_tx;
   std::vector<std::uint64_t> link_collisions;
   std::vector<std::uint64_t> pair_counts;  ///< flattened [a][b]
@@ -52,6 +54,8 @@ struct RunRecord {
 void expect_same_run(const RunRecord& a, const RunRecord& b, const std::string& label) {
   EXPECT_EQ(a.delivered_series, b.delivered_series) << label << ": per-interval deliveries";
   EXPECT_EQ(a.debts, b.debts) << label << ": final debts";
+  EXPECT_EQ(a.link_arrivals, b.link_arrivals) << label << ": stats arrivals";
+  EXPECT_EQ(a.link_delivered, b.link_delivered) << label << ": stats deliveries";
   EXPECT_EQ(a.link_data_tx, b.link_data_tx) << label << ": per-link data_tx";
   EXPECT_EQ(a.link_collisions, b.link_collisions) << label << ": per-link collisions";
   EXPECT_EQ(a.pair_counts, b.pair_counts) << label << ": collision pair ledger";
@@ -91,6 +95,8 @@ RunRecord run_network(NetworkConfig config, const mac::SchemeFactory& factory,
   std::vector<phy::PairCount> row;
   for (LinkId l = 0; l < n; ++l) {
     rec.debts.push_back(network.debts().debt(l));
+    rec.link_arrivals.push_back(network.stats().total_arrivals(l));
+    rec.link_delivered.push_back(network.stats().total_delivered(l));
     rec.link_data_tx.push_back(network.link_counters(l).data_tx);
     rec.link_collisions.push_back(network.link_counters(l).collisions);
     network.collision_row(l, row);
@@ -202,14 +208,38 @@ TEST(ShardedNetworkTest, ShardedRunMatchesOneCellOnDisconnectedCells) {
 }
 
 TEST(ShardedNetworkTest, ResultsAreIndependentOfShardCountAndWorkerCount) {
-  const auto base = run_network(cells_config(33, /*shards=*/1), expfw::dcf_factory());
-  for (const std::size_t shards : {2UL, 3UL, 6UL}) {
-    for (const std::size_t jobs : {1UL, 4UL}) {
-      auto cfg = cells_config(33, shards);
-      cfg.shard_jobs = jobs;
-      EXPECT_EQ(base, run_network(std::move(cfg), expfw::dcf_factory()))
-          << "shards=" << shards << " jobs=" << jobs;
+  // A cut-free city of 32 cells: one group per cell at shards = cells, so
+  // the lanes fold many groups each; every (shards, jobs) must reproduce
+  // the one-group run.
+  constexpr std::size_t kLinks = 128;
+  constexpr std::size_t kCellSize = 4;
+  for (const SchemeCase& c : all_schemes()) {
+    const auto base = run_network(cells_config(33, /*shards=*/1, kLinks, kCellSize), c.factory);
+    EXPECT_GT(base.delivered, 0U) << c.name;
+    for (const std::size_t shards : {2UL, 3UL, 6UL, kLinks / kCellSize}) {
+      for (const std::size_t jobs : {1UL, 2UL, 3UL, 4UL}) {
+        auto cfg = cells_config(33, shards, kLinks, kCellSize);
+        cfg.shard_jobs = jobs;
+        const std::string label = std::string{c.name} + " shards=" + std::to_string(shards) +
+                                  " jobs=" + std::to_string(jobs);
+        expect_same_run(base, run_network(std::move(cfg), c.factory), label);
+      }
     }
+  }
+}
+
+TEST(ShardedNetworkTest, LanesFoldGroupsWithoutChangingThePlan) {
+  constexpr std::size_t kCells = 32;
+  for (const std::size_t jobs : {1UL, 2UL, 3UL, 64UL}) {
+    auto cfg = cells_config(5, /*shards=*/kCells, /*num_links=*/kCells * 4);
+    cfg.shard_jobs = jobs;
+    Network network{std::move(cfg), expfw::dcf_factory()};
+    EXPECT_EQ(network.cell_count(), kCells);
+    EXPECT_EQ(network.group_count(), kCells) << "jobs=" << jobs;
+    EXPECT_EQ(network.lane_stats().size(), std::min(jobs, kCells)) << "jobs=" << jobs;
+    network.run(4);
+    // Cut-free: one lane round per interval, whatever the lane count.
+    EXPECT_EQ(network.lane_rounds(), 4U) << "jobs=" << jobs;
   }
 }
 
@@ -310,16 +340,18 @@ bool cell_batch_path(const Network& network, std::size_t cell) {
 }
 
 constexpr std::size_t kChainCells = 4;
+constexpr std::size_t kLongChainCells = 16;
 constexpr std::size_t kChainCellSize = 8;
 
-/// A chain of 4 carrier-sense cliques of 8 links, neighbors coupled by one
-/// conflict-only (hidden-terminal) pair. `shards == 0` runs the dense form
-/// as one cell; otherwise the sparse form is partitioned.
-NetworkConfig chain_config(std::uint64_t seed, std::size_t shards, std::size_t jobs = 1) {
-  auto cfg = net::symmetric_network(kChainCells * kChainCellSize, Duration::milliseconds(2),
+/// A chain of `cells` carrier-sense cliques of 8 links, neighbors coupled by
+/// one conflict-only (hidden-terminal) pair. `shards == 0` runs the dense
+/// form as one cell; otherwise the sparse form is partitioned.
+NetworkConfig chain_config(std::uint64_t seed, std::size_t shards, std::size_t jobs = 1,
+                           std::size_t cells = kChainCells) {
+  auto cfg = net::symmetric_network(cells * kChainCellSize, Duration::milliseconds(2),
                                     phy::PhyParams::control_80211a(), 0.7,
                                     traffic::BernoulliArrivals{0.9}, 0.9, seed);
-  phy::SparseTopology topo = expfw::chain_cells_topology(kChainCells, kChainCellSize);
+  phy::SparseTopology topo = expfw::chain_cells_topology(cells, kChainCellSize);
   if (shards == 0) {
     cfg.topology = phy::InterferenceGraph::from_lists(topo.num_links, topo.conflict, topo.sense);
   } else {
@@ -376,11 +408,24 @@ TEST(ShardedNetworkTest, ConflictCutRunsMatchOneCellAcrossShardsAndJobs) {
           << c.name;
     }
     for (const std::size_t shards : {2UL, 4UL}) {
-      for (const std::size_t jobs : {1UL, 2UL}) {
+      for (const std::size_t jobs : {1UL, 2UL, 3UL}) {
         expect_same_run(one_cell, run_network(chain_config(5, shards, jobs), c.factory),
                         std::string{c.name} + " chain shards " + std::to_string(shards) +
                             " jobs " + std::to_string(jobs));
       }
+    }
+    // A long chain at shards = cells: every coordinator round folds many
+    // groups onto each lane. (Against one job, not the one-cell run: past
+    // its exact threshold one cell's latency sketch compacts, while the
+    // merged per-cell sketches stay exact.)
+    const auto one_job =
+        run_network(chain_config(6, kLongChainCells, /*jobs=*/1, kLongChainCells), c.factory);
+    EXPECT_GT(one_job.delivered, 0U) << c.name;
+    for (const std::size_t jobs : {2UL, 3UL}) {
+      expect_same_run(one_job,
+                      run_network(chain_config(6, kLongChainCells, jobs, kLongChainCells),
+                                  c.factory),
+                      std::string{c.name} + " long chain jobs " + std::to_string(jobs));
     }
   }
 }

@@ -213,5 +213,45 @@ TEST(ShardPartitionerTest, SenseOnlyCouplingKeepsLinksInOneCell) {
   EXPECT_TRUE(plan.trivial());
 }
 
+TEST(ShardPartitionerTest, LanesFoldWholeGroupsGreedilyByLinkCount) {
+  // Six disjoint cliques of sizes 5, 1, 4, 2, 3, 3: one group per cell.
+  const std::vector<std::size_t> sizes = {5, 1, 4, 2, 3, 3};
+  std::size_t n = 0;
+  for (const std::size_t s : sizes) n += s;
+  AdjacencyLists conflict(n);
+  for (std::size_t first = 0, c = 0; c < sizes.size(); first += sizes[c], ++c) {
+    for (std::size_t a = first; a < first + sizes[c]; ++a) {
+      for (std::size_t b = first; b < first + sizes[c]; ++b) {
+        if (a != b) conflict[a].push_back(static_cast<LinkId>(b));
+      }
+    }
+  }
+  const auto plan = partition_topology(conflict, AdjacencyLists(n), sizes.size());
+  ASSERT_EQ(plan.groups.size(), sizes.size());
+
+  // Largest first onto the least-loaded lane: 5->0, 4->1, 3->1, 3->0, 2->1,
+  // 1->0 (ties toward the lower cell and lane), so both lanes carry 9 links.
+  const auto two = plan.lanes(2);
+  ASSERT_EQ(two.size(), 2U);
+  EXPECT_EQ(two[0], (std::vector<std::uint32_t>{0, 1, 5}));
+  EXPECT_EQ(two[1], (std::vector<std::uint32_t>{2, 3, 4}));
+
+  // One lane runs everything; one lane per group reproduces the groups.
+  EXPECT_EQ(plan.lanes(1), (std::vector<std::vector<std::uint32_t>>{{0, 1, 2, 3, 4, 5}}));
+  EXPECT_EQ(plan.lanes(plan.groups.size()), plan.groups);
+
+  // A group never splits: fold a 3-group plan of the same cells onto 2 lanes.
+  const auto grouped = partition_topology(conflict, AdjacencyLists(n), 3);
+  ASSERT_EQ(grouped.groups.size(), 3U);
+  const auto folded = grouped.lanes(2);
+  for (const auto& group : grouped.groups) {
+    const auto holds = [&group](const std::vector<std::uint32_t>& lane) {
+      return std::includes(lane.begin(), lane.end(), group.begin(), group.end());
+    };
+    EXPECT_EQ(std::count_if(folded.begin(), folded.end(), holds), 1);
+  }
+  EXPECT_EQ(folded[0].size() + folded[1].size(), sizes.size());
+}
+
 }  // namespace
 }  // namespace rtmac::sim

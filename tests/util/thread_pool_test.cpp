@@ -1,4 +1,5 @@
 #include "util/thread_pool.hpp"
+#include "util/lane_runner.hpp"
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,7 @@ TEST(ThreadPoolTest, ZeroThreadsThrows) {
 TEST(ThreadPoolTest, ReportsSizeAndHardwareFloor) {
   ThreadPool pool{3};
   EXPECT_EQ(pool.size(), 3u);
-  EXPECT_GE(ThreadPool::hardware_threads(), 1u);
+  EXPECT_GE(util::hardware_threads(), 1u);
 }
 
 TEST(ThreadPoolTest, SubmitReturnsTaskResults) {
