@@ -49,11 +49,10 @@ class Network::CutState final : public phy::CutResolver {
   }
 
   /// Barrier phase (serial): remember one exported cut transmission.
-  /// Records of sense-only speakers (no cut conflict edge) are not needed
-  /// for resolution and are dropped here.
-  void add_record(const sim::CutTxRecord& r) RTMAC_REQUIRES(sim::shard_barrier) {
+  void add_record(const phy::CutTxExport& r) RTMAC_REQUIRES(sim::shard_barrier) {
     const std::uint32_t slot = slot_of_[r.link];
-    if (slot != kNoSlot) records_[slot].push_back(r);
+    RTMAC_ASSERT(slot != kNoSlot, "exported record of a link without a cut conflict");
+    records_[slot].push_back(r);
   }
 
   /// Interval boundary (serial): the gap rule guarantees no transmission
@@ -72,7 +71,7 @@ class Network::CutState final : public phy::CutResolver {
     bool collided = false;
     std::vector<std::uint64_t>& counts = pair_counts_[owner_cell_[slot]];
     for (const PairRef& pr : partners_[slot]) {
-      for (const sim::CutTxRecord& r : records_[slot_of_[pr.partner]]) {
+      for (const phy::CutTxExport& r : records_[slot_of_[pr.partner]]) {
         if (r.start < end && start < r.end) {
           collided = true;
           // Each overlapping transmission pair is counted exactly once: by
@@ -105,7 +104,7 @@ class Network::CutState final : public phy::CutResolver {
 
   std::vector<std::uint32_t> slot_of_;                ///< global link -> slot
   std::vector<std::vector<PairRef>> partners_;        ///< per slot
-  std::vector<std::vector<sim::CutTxRecord>> records_;  ///< per slot, in drain order
+  std::vector<std::vector<phy::CutTxExport>> records_;  ///< per slot, in drain order
   std::vector<std::uint32_t> owner_cell_;             ///< per slot
   std::vector<std::vector<std::uint64_t>> pair_counts_;  ///< [cell][pair] — no races
 };
@@ -117,7 +116,6 @@ class Network::CutState final : public phy::CutResolver {
 /// load-bearing: the scheme holds references to success_prob and debts.
 struct Network::Cell final : public sim::ShardCell {
   Network& net;
-  std::uint32_t index;
   std::vector<LinkId> links;       ///< global ids, ascending
   ProbabilityVector success_prob;  ///< sliced by global id
   core::DebtTracker debts;         ///< sliced; mirrors the global ledger
@@ -129,10 +127,8 @@ struct Network::Cell final : public sim::ShardCell {
   std::vector<int> delivered;
   std::vector<phy::CutTxExport> outbox_scratch;
 
-  Cell(Network& n, std::uint32_t idx, std::vector<LinkId> ls, RateVector q_slice,
-       ProbabilityVector p_slice)
+  Cell(Network& n, std::vector<LinkId> ls, RateVector q_slice, ProbabilityVector p_slice)
       : net{n},
-        index{idx},
         links{std::move(ls)},
         success_prob{std::move(p_slice)},
         debts{std::move(q_slice)},
@@ -148,12 +144,7 @@ struct Network::Cell final : public sim::ShardCell {
     medium->drain_cut_outbox(outbox_scratch);
     return !outbox_scratch.empty();
   }
-  void drain_outbox(std::vector<sim::CutTxRecord>& into) override
-      RTMAC_REQUIRES(sim::shard_barrier);
-  void deliver_remote(const sim::CutTxRecord& record) override
-      RTMAC_REQUIRES(sim::shard_barrier) {
-    medium->inject_remote_activity(record.link, record.start, record.end);
-  }
+  void drain_outbox() override RTMAC_REQUIRES(sim::shard_barrier);
   void begin_window(TimePoint bound) override RTMAC_REQUIRES(sim::shard_barrier) {
     medium->set_resolution_horizon(bound);
   }
@@ -185,13 +176,8 @@ struct Network::Engine {
   std::unique_ptr<sim::ShardCoordinator> coordinator;  ///< null = cut-free fast path
 };
 
-void Network::Cell::drain_outbox(std::vector<sim::CutTxRecord>& into)
-    RTMAC_REQUIRES(sim::shard_barrier) {
-  for (const phy::CutTxExport& e : outbox_scratch) {
-    const sim::CutTxRecord r{e.link, index, e.start, e.end};
-    net.engine_->cut->add_record(r);
-    into.push_back(r);
-  }
+void Network::Cell::drain_outbox() RTMAC_REQUIRES(sim::shard_barrier) {
+  for (const phy::CutTxExport& e : outbox_scratch) net.engine_->cut->add_record(e);
   outbox_scratch.clear();
 }
 
@@ -276,18 +262,9 @@ void Network::build_engine(sim::ShardPlan plan, const mac::SchemeFactory& scheme
   eng.cut->build(eng.plan);
 
   std::vector<std::uint8_t> has_cut_conflict(n, 0);
-  std::vector<std::uint8_t> is_cut_speaker(n, 0);
   for (const sim::CutEdge& e : eng.plan.cut_conflicts) {
     has_cut_conflict[e.a] = 1;
     has_cut_conflict[e.b] = 1;
-  }
-  for (const sim::CutSense& s : eng.plan.cut_senses) is_cut_speaker[s.speaker] = 1;
-
-  // Remote-sense registrations grouped per listening cell: (speaker global
-  // id, local listener node).
-  std::vector<std::vector<std::pair<LinkId, LinkId>>> remote(num_cells);
-  for (const sim::CutSense& s : eng.plan.cut_senses) {
-    remote[eng.plan.cell_of[s.listener]].emplace_back(s.speaker, eng.local_of[s.listener]);
   }
 
   const RateVector q = config_.requirements.q();
@@ -302,23 +279,19 @@ void Network::build_engine(sim::ShardPlan plan, const mac::SchemeFactory& scheme
       q_slice.push_back(q[g]);
       p_slice.push_back(config_.success_prob[g]);
     }
-    auto cell = std::make_unique<Cell>(*this, static_cast<std::uint32_t>(ci), links,
-                                       std::move(q_slice), std::move(p_slice));
+    auto cell = std::make_unique<Cell>(*this, links, std::move(q_slice), std::move(p_slice));
 
-    // A sense-closed cell (no local node hears another cell) keeps its
-    // honestly-computed completeness flags: a clique cell then runs the
-    // single-view sensing and shared-clock batch paths, cut conflict edges
-    // or not — the cut resolver settles their outcomes, not sensing. Only
-    // the burst path needs more (interference-closed, settled by
-    // configure_shard). Without a topology the one cell is the paper's
+    // No cell hears another (the partitioner cuts no sense relation), so
+    // every cell keeps its honestly-computed completeness flags: a clique
+    // cell runs the single-view sensing and shared-clock batch paths, cut
+    // conflict edges or not — the cut resolver settles their outcomes, not
+    // sensing. Only the burst path needs more (interference-closed, settled
+    // by configure_shard). Without a topology the one cell is the paper's
     // complete collision domain. DESIGN §4i.
-    const auto flags = remote[ci].empty()
-                           ? phy::InterferenceGraph::SubgraphFlags::kKeepCompleteness
-                           : phy::InterferenceGraph::SubgraphFlags::kClearCompleteness;
     phy::InterferenceGraph cell_graph =
         config_.sparse_topology != nullptr
-            ? phy::induced_subgraph(*config_.sparse_topology, cell->links, flags)
-        : config_.topology.has_value() ? config_.topology->induced(cell->links, flags)
+            ? phy::induced_subgraph(*config_.sparse_topology, cell->links)
+        : config_.topology.has_value() ? config_.topology->induced(cell->links)
                                        : phy::InterferenceGraph::complete(links.size());
     // validate() admits a custom channel model only where the plan has one
     // cell (no shards, no auto-sharding).
@@ -333,29 +306,15 @@ void Network::build_engine(sim::ShardPlan plan, const mac::SchemeFactory& scheme
     // Shard mode re-keys loss draws per global link so they are independent
     // of the partition; one cell has nothing to be independent of, and a
     // complete graph must keep the Medium's shared loss stream.
-    std::size_t num_speakers = 0;
     if (!one_cell) {
       phy::ShardMediumConfig smc;
       smc.global_ids = cell->links;
       smc.conflict_cut.resize(links.size(), 0);
-      smc.exported.resize(links.size(), 0);
       for (std::size_t j = 0; j < links.size(); ++j) {
         smc.conflict_cut[j] = has_cut_conflict[links[j]];
-        smc.exported[j] =
-            static_cast<std::uint8_t>(has_cut_conflict[links[j]] | is_cut_speaker[links[j]]);
       }
       smc.resolver = eng.cut.get();
       cell->medium->configure_shard(std::move(smc));
-
-      std::vector<std::pair<LinkId, LinkId>>& regs = remote[ci];
-      std::sort(regs.begin(), regs.end());
-      for (std::size_t i = 0; i < regs.size();) {
-        const LinkId speaker = regs[i].first;
-        std::vector<LinkId> nodes;
-        for (; i < regs.size() && regs[i].first == speaker; ++i) nodes.push_back(regs[i].second);
-        cell->medium->register_remote_sense(speaker, std::move(nodes));
-        ++num_speakers;
-      }
     }
     mac::SchemeContext ctx{cell->sim,
                            *cell->medium,
@@ -376,14 +335,12 @@ void Network::build_engine(sim::ShardPlan plan, const mac::SchemeFactory& scheme
     // not the per-interval total: the scheme declares its per-link timer
     // bound (batch shared-clock schemes keep ONE domain expiry event plus at
     // most one in-flight completion per link; scalar engines add parked
-    // per-link expiries), and each remote speaker holds at most two edges
-    // (busy + idle) per in-flight injection. Sized AFTER scheme construction
-    // so the bound can depend on the layout the scheme chose; at 10^5+ cells
-    // the pool is the dominant per-cell footprint, so a tight bound is worth
-    // real memory at the million-link scale.
+    // per-link expiries). Sized AFTER scheme construction so the bound can
+    // depend on the layout the scheme chose; at 10^5+ cells the pool is the
+    // dominant per-cell footprint, so a tight bound is worth real memory at
+    // the million-link scale.
     // engine.events.reallocs == 0 in the bench gate proves the bound holds.
-    cell->sim.reserve_events(links.size() * cell->scheme->pending_events_per_link() + 16 +
-                             4 * num_speakers);
+    cell->sim.reserve_events(links.size() * cell->scheme->pending_events_per_link() + 16);
     eng.cells.push_back(std::move(cell));
   }
   eng.cell_ptrs.reserve(num_cells);
@@ -399,28 +356,21 @@ void Network::build_engine(sim::ShardPlan plan, const mac::SchemeFactory& scheme
   eng.lanes = eng.plan.lanes(jobs);
   eng.runner = std::make_unique<util::LaneRunner>(jobs);
 
-  if (!eng.plan.cut_conflicts.empty() || !eng.plan.cut_senses.empty()) {
-    // Cells coupled by ANY cut relation bound each other's windows. Sense
-    // cuts only require listener-waits-for-speaker, but the symmetric form
-    // is simpler and merely conservative.
+  if (!eng.plan.cut_conflicts.empty()) {
+    // Cells coupled by a cut conflict edge bound each other's windows.
     std::vector<std::vector<std::uint32_t>> cut_neighbors(num_cells);
-    auto couple = [&eng, &cut_neighbors](LinkId x, LinkId y) {
-      const std::uint32_t cx = eng.plan.cell_of[x];
-      const std::uint32_t cy = eng.plan.cell_of[y];
-      if (cx != cy) {
-        cut_neighbors[cx].push_back(cy);
-        cut_neighbors[cy].push_back(cx);
-      }
-    };
-    for (const sim::CutEdge& e : eng.plan.cut_conflicts) couple(e.a, e.b);
-    for (const sim::CutSense& s : eng.plan.cut_senses) couple(s.listener, s.speaker);
+    for (const sim::CutEdge& e : eng.plan.cut_conflicts) {
+      const std::uint32_t ca = eng.plan.cell_of[e.a];
+      const std::uint32_t cb = eng.plan.cell_of[e.b];
+      cut_neighbors[ca].push_back(cb);
+      cut_neighbors[cb].push_back(ca);
+    }
     for (auto& v : cut_neighbors) {
       std::sort(v.begin(), v.end());
       v.erase(std::unique(v.begin(), v.end()), v.end());
     }
     eng.coordinator = std::make_unique<sim::ShardCoordinator>(
-        eng.cell_ptrs, std::move(cut_neighbors), sim::CutListeners::from_plan(eng.plan),
-        eng.lanes, *eng.runner);
+        eng.cell_ptrs, std::move(cut_neighbors), eng.lanes, *eng.runner);
   }
 }
 

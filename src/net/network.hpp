@@ -123,8 +123,8 @@ class Network {
   /// activity in different cells double-counts relative to the union (a
   /// documented approximation; CSV outputs never read it).
   [[nodiscard]] Duration global_sense_busy_time() const;
-  /// One node's carrier-sense busy time (GLOBAL id). Exact: remote cut-edge
-  /// activity is injected into the listening views.
+  /// One node's carrier-sense busy time (GLOBAL id). Exact: a node hears
+  /// only links of its own cell, since no sense relation crosses a cell.
   [[nodiscard]] Duration node_sense_busy_time(LinkId node) const;
   /// One link's row of the pairwise collision ledger: `out` is replaced by
   /// every (other, count) with a nonzero count of collision events between

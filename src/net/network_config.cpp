@@ -1,5 +1,6 @@
 #include "net/network_config.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -43,6 +44,22 @@ bool NetworkConfig::validate(std::string* error) const {
   if (sparse_topology != nullptr) {
     if (topology.has_value()) return fail("topology and sparse_topology are mutually exclusive");
     if (sparse_topology->num_links != n) return fail("sparse topology size != number of links");
+    const auto& conflict = sparse_topology->conflict;
+    const auto& sense = sparse_topology->sense;
+    if (conflict.size() != n || sense.size() != n) {
+      return fail("sparse topology needs one conflict and one sense row per link");
+    }
+    for (std::size_t a = 0; a < n; ++a) {
+      for (const LinkId b : sense[a]) {
+        if (b >= n) return fail("sparse sense list names an unknown link");
+      }
+      for (const LinkId b : conflict[a]) {
+        if (b >= n) return fail("sparse conflict list names an unknown link");
+        if (std::find(conflict[b].begin(), conflict[b].end(), a) == conflict[b].end()) {
+          return fail("sparse conflict relation is not symmetric");
+        }
+      }
+    }
     if (shards == 0 && !auto_shard) {
       return fail("sparse_topology requires the sharded engine (shards >= 1 or auto_shard)");
     }

@@ -98,8 +98,7 @@ InterferenceGraph InterferenceGraph::unit_disk(const std::vector<LinkPlacement>&
   return InterferenceGraph{n, std::move(conflict), std::move(sense)};
 }
 
-InterferenceGraph InterferenceGraph::induced(std::span<const LinkId> links,
-                                             SubgraphFlags flags) const {
+InterferenceGraph InterferenceGraph::induced(std::span<const LinkId> links) const {
   const std::size_t k = links.size();
   RTMAC_REQUIRE(k >= 1, "induced subgraph needs at least one link");
   std::vector<bool> conflict(k * k, false);
@@ -111,12 +110,7 @@ InterferenceGraph InterferenceGraph::induced(std::span<const LinkId> links,
       sense[a * k + b] = senses(links[a], links[b]);
     }
   }
-  InterferenceGraph g{k, std::move(conflict), std::move(sense)};
-  if (flags == SubgraphFlags::kClearCompleteness) {
-    g.complete_conflicts_ = false;
-    g.complete_sensing_ = false;
-  }
-  return g;
+  return InterferenceGraph{k, std::move(conflict), std::move(sense)};
 }
 
 namespace {
@@ -191,8 +185,7 @@ SparseTopology sparse_unit_disk(const std::vector<InterferenceGraph::LinkPlaceme
 }
 
 InterferenceGraph induced_subgraph(const SparseTopology& topology,
-                                   std::span<const LinkId> links,
-                                   InterferenceGraph::SubgraphFlags flags) {
+                                   std::span<const LinkId> links) {
   const std::size_t k = links.size();
   RTMAC_REQUIRE(k >= 1, "induced subgraph needs at least one link");
   const auto local_of = [&](LinkId global) -> std::size_t {
@@ -214,12 +207,7 @@ InterferenceGraph induced_subgraph(const SparseTopology& topology,
       if (b < k) sense[a * k + b] = true;
     }
   }
-  InterferenceGraph g{k, std::move(conflict), std::move(sense)};
-  if (flags == InterferenceGraph::SubgraphFlags::kClearCompleteness) {
-    g.complete_conflicts_ = false;
-    g.complete_sensing_ = false;
-  }
-  return g;
+  return InterferenceGraph{k, std::move(conflict), std::move(sense)};
 }
 
 }  // namespace rtmac::phy

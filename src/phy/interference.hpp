@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -92,31 +91,20 @@ class InterferenceGraph {
   /// Both relations complete: byte-identical to the pre-topology Medium.
   [[nodiscard]] bool is_complete() const { return complete_conflicts_ && complete_sensing_; }
 
-  /// Completeness-flag policy for induced subgraphs. A shard cell's flags
-  /// describe its own links only, so the caller decides whether they may
-  /// stand. The sharded Network keeps them (kKeepCompleteness) exactly for
-  /// SENSE-CLOSED cells: no local node senses a link in another cell, so a
-  /// clique cell's every per-node view really is the cell's one global view,
-  /// and the single-view sensing and shared-clock batch MAC paths are exact
-  /// even when the cell has cut conflict edges (their outcomes are settled
-  /// by the cut resolver, not by sensing). A cell with a remote speaker
-  /// needs per-node views for the injected activity and clears the flags
-  /// (kClearCompleteness, the safe default). Whether a sense-closed cell is
-  /// also INTERFERENCE-CLOSED (no cut conflict, no exported link — the
-  /// precondition of the burst path) is settled by the shard Medium, not by
-  /// these flags (phy::Medium::interference_closed()).
-  enum class SubgraphFlags : std::uint8_t { kClearCompleteness, kKeepCompleteness };
-
-  /// Dense subgraph induced by `links` (ascending global ids); completeness
-  /// flags per `flags` (see SubgraphFlags).
-  [[nodiscard]] InterferenceGraph induced(
-      std::span<const LinkId> links,
-      SubgraphFlags flags = SubgraphFlags::kClearCompleteness) const;
+  /// Dense subgraph induced by `links` (ascending global ids). Its
+  /// completeness flags describe those links only: a shard cell never hears
+  /// another cell (the partitioner cuts no sense relation), so a clique
+  /// cell's every per-node view really is the cell's one global view, and
+  /// the single-view sensing and shared-clock batch MAC paths are exact even
+  /// when the cell has cut conflict edges (their outcomes are settled by the
+  /// cut resolver, not by sensing). Whether the cell is also
+  /// INTERFERENCE-CLOSED (no cut conflict — the precondition of the burst
+  /// path) is settled by the shard Medium (phy::Medium::interference_closed()).
+  [[nodiscard]] InterferenceGraph induced(std::span<const LinkId> links) const;
 
  private:
   friend InterferenceGraph induced_subgraph(const SparseTopology& topology,
-                                            std::span<const LinkId> links,
-                                            SubgraphFlags flags);
+                                            std::span<const LinkId> links);
 
   InterferenceGraph(std::size_t n, std::vector<bool> conflict, std::vector<bool> sense);
 
@@ -156,11 +144,8 @@ struct SparseTopology {
     double sense_range);
 
 /// Dense subgraph of a sparse topology induced by `links` (ascending global
-/// ids); completeness flags per `flags` — see
-/// InterferenceGraph::SubgraphFlags.
-[[nodiscard]] InterferenceGraph induced_subgraph(
-    const SparseTopology& topology, std::span<const LinkId> links,
-    InterferenceGraph::SubgraphFlags flags =
-        InterferenceGraph::SubgraphFlags::kClearCompleteness);
+/// ids); completeness flags as for InterferenceGraph::induced.
+[[nodiscard]] InterferenceGraph induced_subgraph(const SparseTopology& topology,
+                                                 std::span<const LinkId> links);
 
 }  // namespace rtmac::phy

@@ -112,8 +112,7 @@ std::size_t Medium::memory_bytes() const {
          pair_count_.size_bytes() + loss_rngs_.capacity() * sizeof(Rng) +
          active_.capacity() * sizeof(ActiveTx) + listeners_.capacity() * sizeof(ListenerEntry) +
          outbox_.capacity() * sizeof(CutTxExport) +
-         shard_.global_ids.capacity() * sizeof(LinkId) + shard_.conflict_cut.capacity() +
-         shard_.exported.capacity();
+         shard_.global_ids.capacity() * sizeof(LinkId) + shard_.conflict_cut.capacity();
 }
 
 void Medium::collision_row(LinkId a, std::vector<PairCount>& out) const {
@@ -131,18 +130,14 @@ void Medium::collision_row(LinkId a, std::vector<PairCount>& out) const {
 
 void Medium::configure_shard(ShardMediumConfig config) {
   RTMAC_REQUIRE(config.global_ids.size() == num_links_, "global id map size mismatch");
-  RTMAC_REQUIRE(config.conflict_cut.size() == num_links_ && config.exported.size() == num_links_,
-                "cut flag size mismatch");
+  RTMAC_REQUIRE(config.conflict_cut.size() == num_links_, "cut flag size mismatch");
   shard_mode_ = true;
   shard_ = std::move(config);
-  // A transmission reaches outside the cell through a cut conflict (its
-  // outcome waits for the resolver) or an export (remote views hear it).
-  interference_closed_ =
-      complete_sensing_ &&
-      std::all_of(shard_.exported.begin(), shard_.exported.end(),
-                  [](std::uint8_t e) { return e == 0; }) &&
-      std::all_of(shard_.conflict_cut.begin(), shard_.conflict_cut.end(),
-                  [](std::uint8_t c) { return c == 0; });
+  // A transmission reaches outside the cell only through a cut conflict: its
+  // outcome waits for the resolver.
+  const bool no_cut = std::none_of(shard_.conflict_cut.begin(), shard_.conflict_cut.end(),
+                                   [](std::uint8_t c) { return c != 0; });
+  interference_closed_ = complete_sensing_ && no_cut;
   // Re-key the loss streams by global id: the draws a link sees must not
   // depend on which cell it landed in.
   loss_rngs_.clear();
@@ -150,15 +145,6 @@ void Medium::configure_shard(ShardMediumConfig config) {
     loss_rngs_.emplace_back(seed_, loss_stream_id(shard_.global_ids[link]));
   }
   resolution_horizon_ = sim::Simulator::no_run_limit();
-}
-
-void Medium::register_remote_sense(LinkId speaker, std::vector<LinkId> nodes) {
-  RTMAC_REQUIRE(shard_mode_, "register_remote_sense outside shard mode");
-  // remote_mark drives per-node views, which the single-view fast path never
-  // reads — a cell with a remote speaker is not sense-closed and must not
-  // keep complete sensing.
-  RTMAC_REQUIRE(!complete_sensing_, "remote sense injection needs per-node views");
-  remote_sense_[speaker] = std::move(nodes);
 }
 
 void Medium::set_resolution_horizon(TimePoint bound) {
@@ -180,44 +166,6 @@ void Medium::set_resolution_horizon(TimePoint bound) {
 void Medium::drain_cut_outbox(std::vector<CutTxExport>& into) {
   into.insert(into.end(), outbox_.begin(), outbox_.end());
   outbox_.clear();
-}
-
-void Medium::inject_remote_activity(LinkId speaker, TimePoint start, TimePoint end) {
-  RTMAC_REQUIRE(shard_mode_, "inject_remote_activity outside shard mode");
-  const auto it = remote_sense_.find(speaker);
-  if (it == remote_sense_.end()) return;
-  const TimePoint now = sim_.now();
-  if (end <= now) return;  // fully stale: the busy period is already over
-  const std::vector<LinkId>* nodes = &it->second;
-  const TimePoint busy_at = start > now ? start : now;
-  sim_.schedule_at(busy_at, [this, nodes] { remote_mark(*nodes, /*to_busy=*/true); });
-  sim_.schedule_at(end, [this, nodes] { remote_mark(*nodes, /*to_busy=*/false); });
-}
-
-void Medium::remote_mark(const std::vector<LinkId>& nodes, bool to_busy) {
-  const TimePoint now = sim_.now();
-  for (LinkId node : nodes) {
-    SenseView& view = views_[node];
-    if (to_busy) {
-      ++view.active;
-      if (!view.notified_busy) {
-        view.notified_busy = true;
-        view.busy_since = now;
-        marks_[node] = 1;
-        any_marked_ = true;
-      }
-    } else {
-      RTMAC_ASSERT(view.active > 0, "unbalanced remote idle edge");
-      --view.active;
-      if (view.active == 0 && view.notified_busy) {
-        view.notified_busy = false;
-        view.busy_time += now - view.busy_since;
-        marks_[node] = 1;
-        any_marked_ = true;
-      }
-    }
-  }
-  dispatch_marked(to_busy, now);
 }
 
 void Medium::add_listener(MediumListener* listener, LinkId node) {
@@ -346,14 +294,12 @@ void Medium::start_transmission(LinkId link, Duration airtime, PacketKind kind, 
 
   if (shard_mode_) {
     const TimePoint end = now + airtime;
-    if (shard_.exported[link] != 0) {
+    if (shard_.conflict_cut[link] != 0) {
       outbox_.push_back(CutTxExport{shard_.global_ids[link], now, end});
-    }
-    // A new cut-conflict transmission ending beyond the resolution bound
-    // must not complete this window; tighten the run limit if it is now
-    // the earliest blocked completion.
-    if (shard_.conflict_cut[link] != 0 && end > resolution_horizon_ && end < sim_.run_limit()) {
-      sim_.set_run_limit(end);
+      // A new cut-conflict transmission ending beyond the resolution bound
+      // must not complete this window; tighten the run limit if it is now
+      // the earliest blocked completion.
+      if (end > resolution_horizon_ && end < sim_.run_limit()) sim_.set_run_limit(end);
     }
   }
 

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -73,8 +72,7 @@ class MediumListener {
 
 /// One exported cut-link transmission occupying [start, end), reported in
 /// the link's GLOBAL id. Shard cells hand these to the coordinator at
-/// window barriers; the coordinator feeds them back into neighbor cells as
-/// remote sense activity and into the cross-shard collision ledger.
+/// window barriers, which files them in the cross-shard collision ledger.
 struct CutTxExport {
   LinkId link = 0;
   TimePoint start;
@@ -84,7 +82,7 @@ struct CutTxExport {
 /// Resolver for cross-shard conflicts, implemented by the sharded Network.
 /// The conservative coordinator guarantees that when a cut-link completion
 /// executes, every conflicting neighbor cell's clock has passed it, so all
-/// overlapping remote transmissions are already in the mailbox and the
+/// overlapping remote transmissions are already in the cut ledger and the
 /// answer is exact.
 class CutResolver {
  public:
@@ -98,15 +96,14 @@ class CutResolver {
 
 /// Shard-mode wiring for a cell's Medium: the local->global id map (loss
 /// streams are re-keyed by global id so results do not depend on the
-/// partition), which local links have cross-cell conflict edges (their
-/// completions consult the resolver and bound the engine's run limit), and
-/// which local links' transmissions must be exported at barriers. Only the
-/// sharded Network and the coordinator may touch this machinery — enforced
-/// by the shard-isolation lint rule.
+/// partition) and which local links have cross-cell conflict edges (their
+/// transmissions go to the outbox, their completions consult the resolver
+/// and bound the engine's run limit). Only the sharded Network and the
+/// coordinator may touch this machinery — enforced by the shard-isolation
+/// lint rule.
 struct ShardMediumConfig {
   std::vector<LinkId> global_ids;          ///< local link -> global link
   std::vector<std::uint8_t> conflict_cut;  ///< local link has a cut conflict edge
-  std::vector<std::uint8_t> exported;      ///< local link's txs go to the outbox
   CutResolver* resolver = nullptr;         ///< borrowed; may be null when no cuts
 };
 
@@ -233,19 +230,19 @@ class Medium {
 
   [[nodiscard]] const InterferenceGraph& topology() const { return graph_; }
 
-  /// Sense-closed: every node senses every local link and nothing else —
-  /// the topology has complete sensing and, in shard mode, no remote
-  /// speaker drives any local view. Every per-node view then coincides with
-  /// the global one, so the single-view sensing path and the shared-clock
-  /// batch MAC paths are exact.
+  /// Sense-closed: every node senses every local link — the topology has
+  /// complete sensing (a shard cell never hears another cell: the
+  /// partitioner cuts no sense relation). Every per-node view then
+  /// coincides with the global one, so the single-view sensing path and the
+  /// shared-clock batch MAC paths are exact.
   [[nodiscard]] bool sense_closed() const { return complete_sensing_; }
 
   /// Interference-closed: sense-closed, and no local transmission interacts
   /// with anything outside this medium — in shard mode, no local link has a
-  /// cut conflict edge or is heard by another cell. Only then can a
-  /// transmission's outcome be settled when it starts, which is what the
-  /// burst path needs (it bypasses the cut outbox, the cut resolver and the
-  /// run limit). The DP protocol is collision-free exactly here.
+  /// cut conflict edge. Only then can a transmission's outcome be settled
+  /// when it starts, which is what the burst path needs (it bypasses the cut
+  /// outbox, the cut resolver and the run limit). The DP protocol is
+  /// collision-free exactly here.
   [[nodiscard]] bool interference_closed() const { return interference_closed_; }
 
   [[nodiscard]] const MediumCounters& counters() const { return counters_; }
@@ -289,30 +286,20 @@ class Medium {
   // ---- shard mode -----------------------------------------------------------
   // A cell's Medium is a regular Medium over the induced subgraph, plus:
   // exported cut-link transmissions (drained by the coordinator at window
-  // barriers), injected remote activity (phantom busy periods on the local
-  // sense views of cross-cell speakers), and a resolution horizon that
-  // converts the coordinator's conservative bound into a Simulator run
-  // limit. None of this exists outside shard mode (a one-cell network, a
-  // standalone Medium).
+  // barriers) and a resolution horizon that converts the coordinator's
+  // conservative bound into a Simulator run limit. None of this exists
+  // outside shard mode (a one-cell network, a standalone Medium).
   //
   // The per-window entry points REQUIRE the sim::shard_barrier phantom
   // capability: they are only sound while this cell's engine is stopped —
   // in the coordinator's serial barrier phase, or in the lane that runs the
-  // cell, between its windows. configure_shard/register_remote_sense run at
-  // construction time, before any parallel phase exists, and are
-  // deliberately unannotated.
+  // cell, between its windows. configure_shard runs at construction time,
+  // before any parallel phase exists, and is deliberately unannotated.
 
-  /// Enters shard mode. The topology may keep complete sensing only if the
-  /// cell is sense-closed (register_remote_sense refuses such a medium);
-  /// whether it is also interference-closed follows from the cut flags and
-  /// is settled here, once. Loss streams are re-keyed by global id either
-  /// way, so results stay partition-independent.
+  /// Enters shard mode. Whether the cell is also interference-closed
+  /// follows from the cut flags and is settled here, once. Loss streams are
+  /// re-keyed by global id, so results stay partition-independent.
   void configure_shard(ShardMediumConfig config);
-
-  /// Declares that local `nodes` sense the remote global link `speaker`;
-  /// inject_remote_activity(speaker, ...) will drive their views.
-  /// Precondition: the medium is not sense-closed.
-  void register_remote_sense(LinkId speaker, std::vector<LinkId> nodes);
 
   /// Arms the window's resolution bound: completions of cut-conflict
   /// transmissions ending after `bound` may not execute yet, so the engine
@@ -322,12 +309,6 @@ class Medium {
 
   /// Appends and clears the exported cut transmissions (start-time order).
   void drain_cut_outbox(std::vector<CutTxExport>& into)
-      RTMAC_REQUIRES(sim::shard_barrier);
-
-  /// Schedules a phantom busy period [start, end) on the views of the local
-  /// nodes registered for `speaker`. Stale parts before now() are clipped;
-  /// a fully stale record is dropped. No-op for unregistered speakers.
-  void inject_remote_activity(LinkId speaker, TimePoint start, TimePoint end)
       RTMAC_REQUIRES(sim::shard_barrier);
 
   /// Attaches a protocol tracer (not owned; null detaches). The medium is
@@ -435,9 +416,6 @@ class Medium {
     ++*ab;
     if (a != b) ++*pair_cell(b, a);
   }
-  /// Applies a phantom busy/idle edge to the given local views (remote
-  /// cut-edge activity; the global view and active_count_ stay untouched).
-  void remote_mark(const std::vector<LinkId>& nodes, bool to_busy);
   /// Marks views of `link`'s sensing nodes (plus the global view) that
   /// transition in the given direction, updating their busy accounting.
   void mark_transitions(LinkId link, bool to_busy, TimePoint now);
@@ -454,10 +432,10 @@ class Medium {
   /// Cached graph_.complete_sensing(), i.e. sense_closed(): selects the
   /// single-view fast path (per-node views are never touched; all listeners
   /// share the global view's transitions, which is exactly what complete
-  /// sensing with no remote speaker implies).
+  /// sensing implies).
   bool complete_sensing_ = false;
   /// interference_closed(): complete_sensing_ outside shard mode; in shard
-  /// mode additionally no cut-conflict or exported link (configure_shard).
+  /// mode additionally no cut-conflict link (configure_shard).
   bool interference_closed_ = false;
   std::size_t num_links_ = 0;  ///< cached channel_->num_links()
   std::uint64_t seed_ = 0;     ///< root seed (loss streams re-key in shard mode)
@@ -502,8 +480,6 @@ class Medium {
   ShardMediumConfig shard_;
   TimePoint resolution_horizon_;
   std::vector<CutTxExport> outbox_;
-  /// speaker global id -> local nodes whose views it drives.
-  std::unordered_map<LinkId, std::vector<LinkId>> remote_sense_;
 };
 
 }  // namespace rtmac::phy

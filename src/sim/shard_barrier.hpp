@@ -4,10 +4,10 @@
 //
 // The Chandy–Misra style coordinator in sim/sharded_simulator alternates two
 // phases: a serial *barrier* phase (on the coordinating thread: drain
-// cut-crossing outboxes, deliver remote activity, open the next conflict-free
+// cut-crossing outboxes into the cut ledger, open the next conflict-free
 // window) and a parallel *window* phase (per-shard engines advance
-// independently on lane threads). Cross-shard state — mailboxes,
-// remote-sense injection, the resolution horizon — must only be touched
+// independently on lane threads). Cross-shard state — the cut ledger, the
+// outboxes, the resolution horizon — must only be touched
 // while the engines it belongs to are stopped: in the serial barrier phase,
 // or, for steps that touch one cell only (staging its outbox, probing its
 // activity bound, arming its window), in that cell's lane between windows.

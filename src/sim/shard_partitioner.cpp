@@ -107,12 +107,41 @@ bool is_clique(const std::vector<LinkId>& cell, const AdjacencyLists& u) {
   return true;
 }
 
+/// Sense atoms: the connected components of the symmetrized sense relation
+/// (self loops ignored). Every atom lies inside one union component, and
+/// bisection keeps it whole, so no cell boundary ever cuts a sense relation.
+struct SenseAtoms {
+  std::vector<std::uint32_t> atom_of;      ///< link -> index into `links`
+  std::vector<std::vector<LinkId>> links;  ///< ascending, by smallest member
+};
+
+SenseAtoms sense_atoms(const AdjacencyLists& sense, std::size_t n) {
+  AdjacencyLists symmetric(n);
+  for (LinkId a = 0; a < sense.size(); ++a) {
+    for (LinkId b : sense[a]) {
+      if (a == b) continue;
+      symmetric[a].push_back(b);
+      symmetric[b].push_back(a);
+    }
+  }
+  SenseAtoms atoms;
+  atoms.links = connected_components(symmetric);
+  atoms.atom_of.assign(n, 0);
+  for (std::uint32_t i = 0; i < atoms.links.size(); ++i) {
+    for (LinkId v : atoms.links[i]) atoms.atom_of[v] = i;
+  }
+  return atoms;
+}
+
 /// BFS order over `cell` (ascending-id tie-breaks, restarting from the
-/// lowest unvisited id if the cell is internally disconnected), then takes
-/// the first ceil(m/2) links as the first half. This is the "balanced
-/// edge-cut" heuristic: BFS halves keep geometrically-near links together,
-/// so the cut crosses the narrow waist of the component.
-void bfs_bisect(const std::vector<LinkId>& cell, const AdjacencyLists& u,
+/// lowest unvisited id if the cell is internally disconnected), regrouped
+/// atom by atom (each atom where its first link appears), then cut at the
+/// atom boundary nearest ceil(m/2) (ties toward the lower). This is the
+/// "balanced edge-cut" heuristic: BFS halves keep geometrically-near links
+/// together, so the cut crosses the narrow waist of the component. When no
+/// atom straddles the BFS midpoint, the halves are the plain BFS halves.
+/// Precondition: `cell` holds at least two atoms.
+void bfs_bisect(const std::vector<LinkId>& cell, const AdjacencyLists& u, const SenseAtoms& atoms,
                 std::vector<LinkId>& first, std::vector<LinkId>& second) {
   std::vector<LinkId> order;
   order.reserve(cell.size());
@@ -138,9 +167,26 @@ void bfs_bisect(const std::vector<LinkId>& cell, const AdjacencyLists& u,
     }
   }
   RTMAC_ASSERT(order.size() == cell.size(), "BFS bisection lost links");
+
+  // Regroup atom by atom; `seen` is cleared as each atom is emitted.
   const std::size_t half = (order.size() + 1) / 2;
-  first.assign(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(half));
-  second.assign(order.begin() + static_cast<std::ptrdiff_t>(half), order.end());
+  const auto distance = [half](std::size_t at) { return at > half ? at - half : half - at; };
+  std::size_t cut = 0;
+  std::vector<LinkId> grouped;
+  grouped.reserve(order.size());
+  for (LinkId v : order) {
+    if (!seen[v]) continue;  // emitted with its atom
+    for (LinkId w : atoms.links[atoms.atom_of[v]]) {
+      seen[w] = 0;
+      grouped.push_back(w);
+    }
+    if (grouped.size() < order.size() && (cut == 0 || distance(grouped.size()) < distance(cut))) {
+      cut = grouped.size();
+    }
+  }
+  RTMAC_ASSERT(grouped.size() == cell.size() && cut > 0, "bisection split an atom or found none");
+  first.assign(grouped.begin(), grouped.begin() + static_cast<std::ptrdiff_t>(cut));
+  second.assign(grouped.begin() + static_cast<std::ptrdiff_t>(cut), grouped.end());
   std::sort(first.begin(), first.end());
   std::sort(second.begin(), second.end());
 }
@@ -157,19 +203,24 @@ ShardPlan partition_topology(const AdjacencyLists& conflict, const AdjacencyList
   const AdjacencyLists u = build_union(conflict, sense.empty() ? AdjacencyLists(n) : sense);
   std::vector<std::vector<LinkId>> cells = connected_components(u);
 
-  // Bisect the largest non-clique cell while more parallelism is wanted.
-  // Ties break toward the earliest cell, so the sequence of splits — and
-  // therefore the whole plan — is deterministic.
+  // Bisect the largest splittable cell while more parallelism is wanted: a
+  // clique or a single sense atom stays whole. Ties break toward the
+  // earliest cell, so the sequence of splits — and therefore the whole
+  // plan — is deterministic.
+  const SenseAtoms atoms = cells.size() < target_shards ? sense_atoms(sense, n) : SenseAtoms{};
+  const auto splittable = [&atoms, &u](const std::vector<LinkId>& cell) {
+    return atoms.links[atoms.atom_of[cell.front()]].size() < cell.size() && !is_clique(cell, u);
+  };
   while (cells.size() < target_shards) {
     std::size_t pick = cells.size();
     for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (cells[c].size() < 2 || is_clique(cells[c], u)) continue;
+      if (!splittable(cells[c])) continue;
       if (pick == cells.size() || cells[c].size() > cells[pick].size()) pick = c;
     }
     if (pick == cells.size()) break;  // nothing splittable left
     std::vector<LinkId> first;
     std::vector<LinkId> second;
-    bfs_bisect(cells[pick], u, first, second);
+    bfs_bisect(cells[pick], u, atoms, first, second);
     cells[pick] = std::move(first);
     cells.push_back(std::move(second));
   }
@@ -187,7 +238,7 @@ ShardPlan partition_topology(const AdjacencyLists& conflict, const AdjacencyList
     for (LinkId v : plan.cells[c]) plan.cell_of[v] = c;
   }
 
-  // Cut sets straight off the input relations.
+  // The conflict cut straight off the input relation.
   for (LinkId a = 0; a < n; ++a) {
     for (LinkId b : conflict[a]) {
       if (a < b && plan.cell_of[a] != plan.cell_of[b]) plan.cut_conflicts.push_back({a, b});
@@ -199,19 +250,6 @@ ShardPlan partition_topology(const AdjacencyLists& conflict, const AdjacencyList
             });
   plan.cut_conflicts.erase(std::unique(plan.cut_conflicts.begin(), plan.cut_conflicts.end()),
                            plan.cut_conflicts.end());
-  for (LinkId listener = 0; listener < sense.size(); ++listener) {
-    for (LinkId speaker : sense[listener]) {
-      if (listener != speaker && plan.cell_of[listener] != plan.cell_of[speaker]) {
-        plan.cut_senses.push_back({listener, speaker});
-      }
-    }
-  }
-  std::sort(plan.cut_senses.begin(), plan.cut_senses.end(),
-            [](const CutSense& x, const CutSense& y) {
-              return x.listener != y.listener ? x.listener < y.listener : x.speaker < y.speaker;
-            });
-  plan.cut_senses.erase(std::unique(plan.cut_senses.begin(), plan.cut_senses.end()),
-                        plan.cut_senses.end());
 
   // Greedy balanced grouping of the cells by link count.
   std::vector<std::size_t> cell_sizes(plan.cells.size());

@@ -5,10 +5,12 @@
 // and carrier-sense relations), so it has no dependency on phy/ and is
 // trivially property-testable. Cells are the connected components of the
 // union graph; a connected graph can additionally be bisected along a
-// balanced edge cut when more parallelism is requested. Every cross-cell
-// relation is reported explicitly in the cut set — the coordinator in
-// sharded_simulator.{hpp,cpp} resolves exactly those edges at window
-// barriers, everything else stays cell-local.
+// balanced edge cut when more parallelism is requested. A cut never crosses
+// a carrier-sense relation: sense couples decisions (a backoff freezes the
+// instant a neighbor starts), while conflict only couples outcomes, which
+// the coordinator in sharded_simulator.{hpp,cpp} settles after the fact.
+// So bisection moves whole sense atoms (connected components of the
+// symmetrized sense relation), and the cut set is conflict edges only.
 //
 // Determinism is load-bearing: the whole algorithm is integer arithmetic
 // over sorted adjacency lists (BFS visits neighbors in ascending id order,
@@ -34,16 +36,8 @@ struct CutEdge {
   friend bool operator==(const CutEdge&, const CutEdge&) = default;
 };
 
-/// A directed cross-cell sense relation: `listener` hears `speaker`'s
-/// transmissions but lives in a different cell.
-struct CutSense {
-  LinkId listener = 0;
-  LinkId speaker = 0;
-  friend bool operator==(const CutSense&, const CutSense&) = default;
-};
-
 /// The sharding plan: a partition of the link set into cells, a balanced
-/// assignment of cells to parallel groups, and the explicit cut sets.
+/// assignment of cells to parallel groups, and the explicit conflict cut.
 struct ShardPlan {
   /// cell_of[link] = index into `cells`.
   std::vector<std::uint32_t> cell_of;
@@ -53,9 +47,6 @@ struct ShardPlan {
   /// Cross-cell conflict edges (a < b), lexicographically sorted. Each
   /// one needs completion-time resolution by the coordinator.
   std::vector<CutEdge> cut_conflicts;
-  /// Cross-cell sense relations, sorted by (listener, speaker). Each one
-  /// needs remote-activity injection at window barriers.
-  std::vector<CutSense> cut_senses;
   /// groups[g] = ascending cell indices of parallel group g (groups fold
   /// onto execution lanes, see lanes()).
   /// Balanced greedily by link count; size <= requested shard count.
@@ -70,7 +61,7 @@ struct ShardPlan {
 
   /// A trivial plan: one cell, nothing cut — one engine serves every link.
   [[nodiscard]] bool trivial() const {
-    return cells.size() <= 1 && cut_conflicts.empty() && cut_senses.empty();
+    return cells.size() <= 1 && cut_conflicts.empty();
   }
   [[nodiscard]] std::size_t num_links() const { return cell_of.size(); }
 
@@ -89,8 +80,9 @@ struct ShardPlan {
 ///    are fewer cells than `target_shards`;
 ///  - complete components (every pair conflict-adjacent) are never split, so
 ///    a complete() graph always yields exactly one cell;
-///  - every conflict edge is intra-cell or in `cut_conflicts`, every sense
-///    relation intra-cell or in `cut_senses`;
+///  - no sense relation, in either direction, crosses a cell: bisection
+///    moves whole sense atoms, and a one-atom cell is never split;
+///  - every conflict edge is intra-cell or in `cut_conflicts`;
 ///  - output is deterministic: pure integer arithmetic, no RNG, no
 ///    platform-dependent ordering.
 [[nodiscard]] ShardPlan partition_topology(const AdjacencyLists& conflict,

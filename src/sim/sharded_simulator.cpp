@@ -1,47 +1,21 @@
 #include "sim/sharded_simulator.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/check.hpp"
 
 namespace rtmac::sim {
 
-CutListeners CutListeners::from_plan(const ShardPlan& plan) {
-  // (speaker, listening cell) pairs, sorted and deduplicated: a cell with
-  // several nodes hearing one speaker gets the record once.
-  std::vector<std::pair<LinkId, std::uint32_t>> pairs;
-  pairs.reserve(plan.cut_senses.size());
-  for (const CutSense& s : plan.cut_senses) {
-    pairs.emplace_back(s.speaker, plan.cell_of[s.listener]);
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-
-  CutListeners out;
-  out.offsets.assign(plan.num_links() + 1, 0);
-  out.cells.reserve(pairs.size());
-  for (const auto& [speaker, cell] : pairs) {
-    ++out.offsets[speaker + 1];
-    out.cells.push_back(cell);
-  }
-  for (std::size_t i = 1; i < out.offsets.size(); ++i) out.offsets[i] += out.offsets[i - 1];
-  return out;
-}
-
 ShardCoordinator::ShardCoordinator(std::vector<ShardCell*> cells,
                                    std::vector<std::vector<std::uint32_t>> cut_neighbors,
-                                   CutListeners listeners,
                                    std::vector<std::vector<std::uint32_t>> lanes,
                                    util::LaneRunner& runner)
     : cells_{std::move(cells)},
       cut_neighbors_{std::move(cut_neighbors)},
-      listeners_{std::move(listeners)},
       lanes_{std::move(lanes)},
       runner_{runner} {
   RTMAC_REQUIRE(!cells_.empty(), "coordinator needs at least one cell");
   RTMAC_REQUIRE(cut_neighbors_.size() == cells_.size(), "cut_neighbors size mismatch");
-  RTMAC_REQUIRE(!listeners_.offsets.empty(), "listener index needs an offsets row");
   RTMAC_REQUIRE(lanes_.size() == runner_.lanes(), "one cell list per runner lane");
   const util::PhantomLock barrier{shard_barrier};
   const std::size_t n = cells_.size();
@@ -97,26 +71,10 @@ void ShardCoordinator::advance_to(TimePoint horizon) {
       }
       if (done) break;
 
-      // Drain staged outboxes in canonical cell order, then deliver each
-      // fresh record to the cells that listen to its link, in ascending
-      // cell order. Serial + ordered == deterministic mailbox contents.
-      fresh_.clear();
+      // Drain staged outboxes in canonical cell order. Serial + ordered ==
+      // deterministic ledger contents.
       for (std::size_t c = 0; c < cells_.size(); ++c) {
-        if (staged_[c] != 0) cells_[c]->drain_outbox(fresh_);
-      }
-      for (const CutTxRecord& record : fresh_) {
-        const std::uint32_t first = listeners_.offsets[record.link];
-        const std::uint32_t last = listeners_.offsets[record.link + 1];
-        for (std::uint32_t i = first; i < last; ++i) {
-          const std::uint32_t listener = listeners_.cells[i];
-          RTMAC_ASSERT(listener != record.cell, "a cell listens to itself");
-          cells_[listener]->deliver_remote(record);
-          // Injections schedule events: the listener's activity bound is
-          // probed again after each delivery, since a stale bound could
-          // overshoot its reaction to fresh remote activity. Every other
-          // cell is unchanged since its lane settled it.
-          bound_[listener] = cells_[listener]->next_activity_bound();
-        }
+        if (staged_[c] != 0) cells_[c]->drain_outbox();
       }
       for (std::size_t c = 0; c < cells_.size(); ++c) {
         TimePoint bound = horizon;

@@ -343,15 +343,13 @@ constexpr std::size_t kChainCells = 4;
 constexpr std::size_t kLongChainCells = 16;
 constexpr std::size_t kChainCellSize = 8;
 
-/// A chain of `cells` carrier-sense cliques of 8 links, neighbors coupled by
-/// one conflict-only (hidden-terminal) pair. `shards == 0` runs the dense
-/// form as one cell; otherwise the sparse form is partitioned.
-NetworkConfig chain_config(std::uint64_t seed, std::size_t shards, std::size_t jobs = 1,
-                           std::size_t cells = kChainCells) {
-  auto cfg = net::symmetric_network(cells * kChainCellSize, Duration::milliseconds(2),
+/// A network over `topo` with the chains' traffic. `shards == 0` runs the
+/// dense form as one cell; otherwise the sparse form is partitioned.
+NetworkConfig topology_config(phy::SparseTopology topo, std::uint64_t seed, std::size_t shards,
+                              std::size_t jobs) {
+  auto cfg = net::symmetric_network(topo.num_links, Duration::milliseconds(2),
                                     phy::PhyParams::control_80211a(), 0.7,
                                     traffic::BernoulliArrivals{0.9}, 0.9, seed);
-  phy::SparseTopology topo = expfw::chain_cells_topology(cells, kChainCellSize);
   if (shards == 0) {
     cfg.topology = phy::InterferenceGraph::from_lists(topo.num_links, topo.conflict, topo.sense);
   } else {
@@ -362,8 +360,16 @@ NetworkConfig chain_config(std::uint64_t seed, std::size_t shards, std::size_t j
   return cfg;
 }
 
+/// A chain of `cells` carrier-sense cliques of 8 links, neighbors coupled by
+/// one conflict-only (hidden-terminal) pair.
+NetworkConfig chain_config(std::uint64_t seed, std::size_t shards, std::size_t jobs = 1,
+                           std::size_t cells = kChainCells) {
+  return topology_config(expfw::chain_cells_topology(cells, kChainCellSize), seed, shards, jobs);
+}
+
 /// Two 2-link cliques {0,1} and {2,3} coupled by a conflict edge (1,2)
-/// that link 2 also hears: a sense cut with listener 2 and speaker 1.
+/// that link 2 also hears. The sense relation joins all four links into one
+/// sense atom, so no shard count may split them.
 NetworkConfig sensed_cut_config(std::uint64_t seed, std::size_t shards, std::size_t jobs = 1) {
   auto cfg = net::symmetric_network(4, Duration::milliseconds(2),
                                     phy::PhyParams::control_80211a(), 0.7,
@@ -374,6 +380,61 @@ NetworkConfig sensed_cut_config(std::uint64_t seed, std::size_t shards, std::siz
   cfg.shards = shards;
   cfg.shard_jobs = jobs;
   return cfg;
+}
+
+constexpr std::size_t kCoupledPairs = 3;
+constexpr std::size_t kCoupledCliqueSize = 4;
+
+/// A sense-coupled chain: cliques of 4 joined in pairs by a one-way sense
+/// edge (the first link of each odd clique hears the last link of the even
+/// clique before it), consecutive pairs coupled by one conflict-only
+/// (hidden) pair. Each pair is one sense atom of two cliques, so every cell
+/// lacks complete sensing and has cut conflicts. With three pairs the plain
+/// BFS midpoint falls inside the middle pair.
+NetworkConfig sense_coupled_chain_config(std::uint64_t seed, std::size_t shards,
+                                         std::size_t jobs = 1) {
+  constexpr std::size_t kLinks = 2 * kCoupledPairs * kCoupledCliqueSize;
+  phy::SparseTopology topo;
+  topo.num_links = kLinks;
+  topo.conflict.resize(kLinks);
+  topo.sense.resize(kLinks);
+  for (LinkId a = 0; a < kLinks; ++a) {
+    for (LinkId b = 0; b < kLinks; ++b) {
+      if (a == b || a / kCoupledCliqueSize != b / kCoupledCliqueSize) continue;
+      topo.conflict[a].push_back(b);
+      topo.sense[a].push_back(b);
+    }
+  }
+  for (std::size_t pair = 0; pair < kCoupledPairs; ++pair) {
+    const auto first = static_cast<LinkId>(2 * pair * kCoupledCliqueSize);
+    const LinkId listener = first + kCoupledCliqueSize;
+    topo.sense[listener].insert(topo.sense[listener].begin(), listener - 1);
+    if (pair + 1 < kCoupledPairs) {
+      const LinkId last = first + 2 * kCoupledCliqueSize - 1;
+      topo.conflict[last].push_back(last + 1);
+      topo.conflict[last + 1].insert(topo.conflict[last + 1].begin(), last);
+    }
+  }
+  return topology_config(std::move(topo), seed, shards, jobs);
+}
+
+TEST(ShardedNetworkTest, SenseCoupledChainCellsAreWholeAtomsWithCutConflicts) {
+  for (const SchemeCase& c : all_schemes()) {
+    for (const std::size_t shards : {2UL, 3UL}) {
+      Network network{sense_coupled_chain_config(4, shards), c.factory};
+      const std::string label = std::string{c.name} + " shards " + std::to_string(shards);
+      ASSERT_EQ(network.cell_count(), shards) << label;
+      // shards 2: {pair 0} | {pairs 1, 2}; shards 3: one cell per pair.
+      EXPECT_EQ(network.cell_links(1)[0], 2 * kCoupledCliqueSize) << label;
+      for (std::size_t ci = 0; ci < network.cell_count(); ++ci) {
+        EXPECT_EQ(network.cell_links(ci).size() % (2 * kCoupledCliqueSize), 0U) << label;
+        EXPECT_FALSE(network.cell_medium(ci).sense_closed()) << label << " cell " << ci;
+        EXPECT_FALSE(cell_batch_path(network, ci)) << label << " cell " << ci;
+      }
+      network.run(3);
+      EXPECT_GT(network.coordinator_rounds(), 0U) << label;
+    }
+  }
 }
 
 TEST(ShardedNetworkTest, ConflictCutRunsMatchOneCellAcrossShardsAndJobs) {
@@ -414,6 +475,33 @@ TEST(ShardedNetworkTest, ConflictCutRunsMatchOneCellAcrossShardsAndJobs) {
                             " jobs " + std::to_string(jobs));
       }
     }
+    // A sense relation joins all four links of the sensed cut into one
+    // atom: a shard request keeps them in one cell, equal to the one-cell
+    // run.
+    const auto sensed_one_cell = run_network(sensed_cut_config(9, /*shards=*/0), c.factory);
+    for (const std::size_t jobs : {1UL, 2UL}) {
+      expect_same_run(sensed_one_cell,
+                      run_network(sensed_cut_config(9, /*shards=*/2, jobs), c.factory),
+                      std::string{c.name} + " sensed cut jobs " + std::to_string(jobs));
+    }
+    // The sense-coupled chain: cells without complete sensing, on the
+    // scalar per-node-view paths, with conflict cuts between them.
+    const auto coupled_one_cell =
+        run_network(sense_coupled_chain_config(4, /*shards=*/0), c.factory);
+    if (std::string{c.name} != "DB-DP") {
+      constexpr std::size_t kLinks = 2 * kCoupledPairs * kCoupledCliqueSize;
+      constexpr std::size_t kLast = 2 * kCoupledCliqueSize - 1;
+      EXPECT_GT(coupled_one_cell.pair_counts[kLast * kLinks + kLast + 1], 0U)
+          << c.name << ": hidden pair never collided";
+    }
+    for (const std::size_t shards : {2UL, 3UL, 4UL}) {
+      for (const std::size_t jobs : {1UL, 2UL, 3UL}) {
+        expect_same_run(coupled_one_cell,
+                        run_network(sense_coupled_chain_config(4, shards, jobs), c.factory),
+                        std::string{c.name} + " sense-coupled chain shards " +
+                            std::to_string(shards) + " jobs " + std::to_string(jobs));
+      }
+    }
     // A long chain at shards = cells: every coordinator round folds many
     // groups onto each lane. (Against one job, not the one-cell run: past
     // its exact threshold one cell's latency sketch compacts, while the
@@ -450,31 +538,6 @@ TEST(ShardedNetworkTest, ConflictCutCliqueCellsTakeTheBatchPathAndRefuseBursts) 
   for (std::size_t ci = 0; ci < cut_free.cell_count(); ++ci) {
     EXPECT_TRUE(cut_free.cell_medium(ci).interference_closed()) << "cell " << ci;
     EXPECT_TRUE(cut_free.cell_medium(ci).burst_available()) << "cell " << ci;
-  }
-}
-
-TEST(ShardedNetworkTest, CellWithARemoteListenerNeverKeepsCompleteSensing) {
-  for (const SchemeCase& c : all_schemes()) {
-    Network network{sensed_cut_config(9, /*shards=*/2), c.factory};
-    ASSERT_EQ(network.cell_count(), 2U);
-    ASSERT_EQ(network.cell_links(0)[0], 0U);
-    ASSERT_EQ(network.cell_links(1)[0], 2U);
-    // Cell 1 holds listener 2: per-node views and the scalar engines.
-    EXPECT_FALSE(network.cell_medium(1).sense_closed()) << c.name;
-    EXPECT_FALSE(network.cell_medium(1).interference_closed()) << c.name;
-    EXPECT_FALSE(cell_batch_path(network, 1)) << c.name;
-    // Cell 0 only speaks across the cut: sense-closed, not interference-closed.
-    EXPECT_TRUE(network.cell_medium(0).sense_closed()) << c.name;
-    EXPECT_FALSE(network.cell_medium(0).interference_closed()) << c.name;
-    EXPECT_TRUE(cell_batch_path(network, 0)) << c.name;
-
-    // Worker-count independence. (Equality with the one-cell run is not
-    // asserted on sense cuts: a listener cell's run limit bounds only its
-    // cut-conflict completions, so its backoff can run past remote activity
-    // it has not been handed yet — DESIGN §4i.)
-    expect_same_run(run_network(sensed_cut_config(9, /*shards=*/2, /*jobs=*/1), c.factory),
-                    run_network(sensed_cut_config(9, /*shards=*/2, /*jobs=*/2), c.factory),
-                    std::string{c.name} + " sensed cut jobs 1 vs 2");
   }
 }
 
@@ -556,6 +619,31 @@ TEST(ShardedNetworkTest, ValidationRejectsSparseWithoutShardsAndCustomChannels) 
   EXPECT_NE(error.find("sharded engine"), std::string::npos);
   cfg.shards = 2;
   EXPECT_TRUE(cfg.validate(&error)) << error;
+
+  // Malformed sparse lists never reach the partitioner: a missing row, an
+  // unknown link id, a conflict listed on one side only.
+  const auto rejects = [&cfg](phy::SparseTopology topo, const char* message) {
+    auto bad = cfg.clone();
+    bad.sparse_topology = std::make_shared<const phy::SparseTopology>(std::move(topo));
+    std::string why;
+    EXPECT_FALSE(bad.validate(&why)) << message;
+    EXPECT_NE(why.find(message), std::string::npos) << why;
+  };
+  const auto four_links = [](std::vector<std::vector<LinkId>> conflict,
+                             std::vector<std::vector<LinkId>> sense) {
+    return phy::SparseTopology{4, std::move(conflict), std::move(sense)};
+  };
+  cfg = cells_config(5, /*shards=*/2, /*num_links=*/4);
+  cfg.topology.reset();
+  rejects(four_links({{1}, {0}, {}}, {{}, {}, {}, {}}), "one conflict and one sense row");
+  rejects(four_links({{}, {}, {}, {}}, {{1}, {0}, {}}), "one conflict and one sense row");
+  rejects(four_links({{9}, {}, {}, {}}, {{}, {}, {}, {}}), "conflict list names an unknown");
+  rejects(four_links({{}, {}, {}, {}}, {{}, {9}, {}, {}}), "sense list names an unknown");
+  rejects(four_links({{1}, {}, {3}, {2}}, {{}, {}, {}, {}}), "not symmetric");
+  auto good = cfg.clone();
+  good.sparse_topology = std::make_shared<const phy::SparseTopology>(
+      four_links({{1}, {0}, {3}, {2}}, {{1}, {}, {}, {2}}));
+  EXPECT_TRUE(good.validate(&error)) << error;
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // Property tests for the conflict-graph partitioner (DESIGN §4i): every
-// cross-cell relation must land in the cut sets, plans must be bitwise
-// deterministic, and complete graphs must never be split.
+// cross-cell conflict must land in the cut set, no sense relation may cross
+// a cell, plans must be bitwise deterministic, and complete graphs must
+// never be split.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
+#include "expfw/scenarios.hpp"
+#include "phy/interference.hpp"
 #include "sim/shard_partitioner.hpp"
 #include "util/rng.hpp"
 
@@ -54,13 +58,13 @@ RandomTopology random_topology(std::size_t n, double conflict_p, double sense_p,
 
 bool plans_equal(const ShardPlan& a, const ShardPlan& b) {
   return a.cell_of == b.cell_of && a.cells == b.cells && a.cut_conflicts == b.cut_conflicts &&
-         a.cut_senses == b.cut_senses && a.groups == b.groups;
+         a.groups == b.groups;
 }
 
 /// The core partition invariants, checked for any plan:
 ///  - cells partition {0..n-1}, each ascending, cell_of consistent;
 ///  - every conflict edge is intra-cell or in cut_conflicts (exactly);
-///  - every sense relation is intra-cell or in cut_senses (exactly);
+///  - no sense relation, in either direction, crosses a cell;
 ///  - groups cover every cell exactly once.
 void check_invariants(const ShardPlan& plan, const AdjacencyLists& conflict,
                       const AdjacencyLists& sense) {
@@ -101,21 +105,11 @@ void check_invariants(const ShardPlan& plan, const AdjacencyLists& conflict,
     EXPECT_NE(plan.cell_of[e.a], plan.cell_of[e.b]);
   }
 
-  const auto in_cut_senses = [&](LinkId listener, LinkId speaker) {
-    const CutSense s{listener, speaker};
-    return std::find(plan.cut_senses.begin(), plan.cut_senses.end(), s) !=
-           plan.cut_senses.end();
-  };
   for (LinkId listener = 0; listener < sense.size(); ++listener) {
     for (const LinkId speaker : sense[listener]) {
-      if (listener == speaker) continue;
-      const bool cross = plan.cell_of[listener] != plan.cell_of[speaker];
-      EXPECT_EQ(in_cut_senses(listener, speaker), cross)
-          << "sense " << listener << "<-" << speaker;
+      EXPECT_EQ(plan.cell_of[listener], plan.cell_of[speaker])
+          << "sense " << listener << "<-" << speaker << " crosses a cell";
     }
-  }
-  for (const CutSense& s : plan.cut_senses) {
-    EXPECT_NE(plan.cell_of[s.listener], plan.cell_of[s.speaker]);
   }
 
   std::vector<int> grouped(plan.cells.size(), 0);
@@ -154,7 +148,6 @@ TEST(ShardPartitionerTest, DisconnectedCliquesBecomeTheirOwnCutFreeCells) {
     const auto plan = partition_topology(conflict, conflict, target);
     ASSERT_EQ(plan.cells.size(), 4U);
     EXPECT_TRUE(plan.cut_conflicts.empty());
-    EXPECT_TRUE(plan.cut_senses.empty());
     for (std::uint32_t c = 0; c < 4; ++c) {
       EXPECT_EQ(plan.cells[c], (std::vector<LinkId>{3 * c, 3 * c + 1, 3 * c + 2}));
     }
@@ -175,13 +168,20 @@ TEST(ShardPartitionerTest, ConnectedNonCliqueIsBisectedWithAnExplicitCut) {
 }
 
 TEST(ShardPartitionerTest, RandomTopologiesSatisfyThePartitionInvariants) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto t = random_topology(40, 0.06, 0.04, seed);
-    for (const std::size_t target : {1UL, 2UL, 3UL, 7UL}) {
-      const auto plan = partition_topology(t.conflict, t.sense, target);
-      check_invariants(plan, t.conflict, t.sense);
+  // Sparse sensing (0.005) leaves many small sense atoms, so those plans
+  // really bisect; denser sensing joins most links into one atom.
+  std::size_t split_plans = 0;
+  for (const double sense_p : {0.04, 0.005}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      const auto t = random_topology(40, 0.06, sense_p, seed);
+      for (const std::size_t target : {1UL, 2UL, 3UL, 7UL}) {
+        const auto plan = partition_topology(t.conflict, t.sense, target);
+        check_invariants(plan, t.conflict, t.sense);
+        if (!plan.cut_conflicts.empty()) ++split_plans;
+      }
     }
   }
+  EXPECT_GT(split_plans, 0U) << "no plan was bisected";
 }
 
 TEST(ShardPartitionerTest, PlansAreDeterministicAcrossRuns) {
@@ -211,6 +211,102 @@ TEST(ShardPartitionerTest, SenseOnlyCouplingKeepsLinksInOneCell) {
   const auto plan = partition_topology(conflict, sense, 1);
   ASSERT_EQ(plan.cells.size(), 1U);
   EXPECT_TRUE(plan.trivial());
+}
+
+// ---- pinned plans -----------------------------------------------------------
+
+TEST(ShardPartitionerTest, ChainOfCliquesSplitsAtEveryHiddenPair) {
+  // The chain behind the cut-chain benchmark: 256 sense cliques of 8,
+  // neighbors coupled by one conflict-only pair. At 256 targets every clique
+  // is a cell of its own group, and the cut is exactly the 255 boundary
+  // pairs.
+  constexpr std::size_t kCells = 256;
+  constexpr std::size_t kSize = 8;
+  const phy::SparseTopology topo = expfw::chain_cells_topology(kCells, kSize);
+  const auto plan = partition_topology(topo.conflict, topo.sense, kCells);
+  ASSERT_EQ(plan.cells.size(), kCells);
+  for (std::size_t c = 0; c < kCells; ++c) {
+    std::vector<LinkId> expected(kSize);
+    std::iota(expected.begin(), expected.end(), static_cast<LinkId>(kSize * c));
+    EXPECT_EQ(plan.cells[c], expected) << "cell " << c;
+  }
+  ASSERT_EQ(plan.cut_conflicts.size(), kCells - 1);
+  for (std::size_t c = 0; c + 1 < kCells; ++c) {
+    const CutEdge expected{static_cast<LinkId>(kSize * c + kSize - 1),
+                           static_cast<LinkId>(kSize * (c + 1))};
+    EXPECT_EQ(plan.cut_conflicts[c], expected) << "boundary " << c;
+  }
+  ASSERT_EQ(plan.groups.size(), kCells);
+  for (const auto& group : plan.groups) EXPECT_EQ(group.size(), 1U);
+  check_invariants(plan, topo.conflict, topo.sense);
+}
+
+TEST(ShardPartitionerTest, HiddenCutUnitDiskSplitsBetweenItsSenseCliques) {
+  // Four links on a line: {0,1} and {2,3} hear each other, (1,2) conflict
+  // without sensing. Two targets cut exactly the hidden pair.
+  using P = phy::InterferenceGraph::LinkPlacement;
+  const std::vector<P> links = {
+      P{{0.0, 0.0}, {0.5, 0.0}},  // link 0
+      P{{2.0, 0.0}, {1.5, 0.0}},  // link 1
+      P{{5.0, 0.0}, {5.5, 0.0}},  // link 2
+      P{{7.0, 0.0}, {6.5, 0.0}},  // link 3
+  };
+  const auto g = phy::InterferenceGraph::unit_disk(links, /*interference_range=*/3.6,
+                                                   /*sense_range=*/2.2);
+  AdjacencyLists conflict(4);
+  AdjacencyLists sense(4);
+  for (LinkId a = 0; a < 4; ++a) {
+    for (LinkId b = 0; b < 4; ++b) {
+      if (a == b) continue;
+      if (g.conflicts(a, b)) conflict[a].push_back(b);
+      if (g.senses(a, b)) sense[a].push_back(b);
+    }
+  }
+  const auto plan = partition_topology(conflict, sense, 2);
+  ASSERT_EQ(plan.cells.size(), 2U);
+  EXPECT_EQ(plan.cells[0], (std::vector<LinkId>{0, 1}));
+  EXPECT_EQ(plan.cells[1], (std::vector<LinkId>{2, 3}));
+  EXPECT_EQ(plan.cut_conflicts, (std::vector<CutEdge>{{1, 2}}));
+  check_invariants(plan, conflict, sense);
+}
+
+TEST(ShardPartitionerTest, ASenseEdgeAcrossTheBfsMidpointMovesTheCut) {
+  // Four sense cliques of 3 in a chain of conflict-only pairs (2,3), (5,6),
+  // (8,9). The BFS midpoint falls between cliques {3,4,5} and {6,7,8}.
+  constexpr std::size_t n = 12;
+  AdjacencyLists conflict(n);
+  AdjacencyLists sense(n);
+  for (LinkId a = 0; a < n; ++a) {
+    for (LinkId b = 0; b < n; ++b) {
+      if (a == b || a / 3 != b / 3) continue;
+      conflict[a].push_back(b);
+      sense[a].push_back(b);
+    }
+  }
+  for (const LinkId last : {2U, 5U, 8U}) {
+    conflict[last].push_back(last + 1);
+    conflict[last + 1].push_back(last);
+  }
+  const auto plain = partition_topology(conflict, sense, 2);
+  ASSERT_EQ(plain.cells.size(), 2U);
+  EXPECT_EQ(plain.cells[0], (std::vector<LinkId>{0, 1, 2, 3, 4, 5}));
+  check_invariants(plain, conflict, sense);
+
+  // Link 6 hears link 5: cliques {3,4,5} and {6,7,8} become one sense atom,
+  // so the cut moves to the nearest atom boundary (3 and 9 tie; the lower
+  // wins) and the sensing pair shares a cell.
+  sense[6].push_back(5);
+  const auto contracted = partition_topology(conflict, sense, 2);
+  ASSERT_EQ(contracted.cells.size(), 2U);
+  EXPECT_EQ(contracted.cells[0], (std::vector<LinkId>{0, 1, 2}));
+  EXPECT_EQ(contracted.cell_of[5], contracted.cell_of[6]);
+  EXPECT_EQ(contracted.cut_conflicts, (std::vector<CutEdge>{{2, 3}}));
+  check_invariants(contracted, conflict, sense);
+
+  // A cell that is one atom is never split, however many targets are asked.
+  const auto most = partition_topology(conflict, sense, 8);
+  EXPECT_EQ(most.cells.size(), 3U);
+  check_invariants(most, conflict, sense);
 }
 
 TEST(ShardPartitionerTest, LanesFoldWholeGroupsGreedilyByLinkCount) {

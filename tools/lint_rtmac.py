@@ -36,7 +36,6 @@ cannot express:
                       allocation-free (BM_DbdpIntervalAllocs == 0 is
                       CI-gated).
   shard-isolation     No shard-mode Medium plumbing (configure_shard,
-                      register_remote_sense, inject_remote_activity,
                       drain_cut_outbox, set_resolution_horizon) outside the
                       Medium itself, the shard coordinator, and the Network
                       glue in src/net/network.cpp. Cross-shard state flows
@@ -179,8 +178,7 @@ FLOAT_EQ_LITERAL_RE = re.compile(
 INTERVAL_IFACE_RE = re.compile(r"\b(?:begin|end)_interval\s*\(")
 
 SHARD_ISOLATION_RE = re.compile(
-    r"\b(?:configure_shard|register_remote_sense|inject_remote_activity"
-    r"|drain_cut_outbox|set_resolution_horizon)\s*\(")
+    r"\b(?:configure_shard|drain_cut_outbox|set_resolution_horizon)\s*\(")
 
 ALLOC_CONTAINER_RE = re.compile(
     r"\bstd\s*::\s*(?:vector|deque|list|forward_list|map|set|multimap"

@@ -269,7 +269,7 @@ class TreeScanAndAllowlist(unittest.TestCase):
         root = self.make_tree()
         (root / "src" / "mac").mkdir()
         (root / "src" / "mac" / "rogue.cpp").write_text(
-            "medium.inject_remote_activity(rec);\n"
+            "medium.configure_shard(cfg);\n"
             "medium.drain_cut_outbox(out);\n")
         v = lint_rtmac.scan_tree(root)
         self.assertEqual([x.rule for x in v],
@@ -282,10 +282,8 @@ class TreeScanAndAllowlist(unittest.TestCase):
         (root / "src" / "net").mkdir()
         (root / "src" / "sim").mkdir()
         shard_calls = ("m.configure_shard(cfg);\n"
-                       "m.register_remote_sense(speaker, nodes);\n"
                        "m.set_resolution_horizon(end);\n"
-                       "m.drain_cut_outbox(out);\n"
-                       "m.inject_remote_activity(rec);\n")
+                       "m.drain_cut_outbox(out);\n")
         (root / "src" / "phy" / "medium.cpp").write_text(shard_calls)
         (root / "src" / "net" / "network.cpp").write_text(shard_calls)
         (root / "src" / "sim" / "sharded_simulator.cpp").write_text(
